@@ -130,7 +130,7 @@ impl<'t, S: PageStore> RankingCursor<'t, S> {
                 let c = &fp.comps()[comp];
                 (
                     c.snap.tree_plane(),
-                    (!c.hidden.is_empty()).then_some(&c.hidden),
+                    (!c.hidden.is_empty()).then_some(&*c.hidden),
                 )
             }
         }

@@ -5,14 +5,25 @@
 //! time (when the forest's leaf format calls for it), so the density a
 //! memtable entry contributes to a query is bit-identical to what the
 //! same entry contributes after it is flushed into a component tree.
+//!
+//! The map sits behind an [`Arc`] so a forest snapshot pins it with one
+//! reference-count bump instead of a copy. Writes go through
+//! [`Arc::make_mut`]: while no snapshot shares the map they mutate it in
+//! place, and the first write after a pin that is still alive copies the
+//! map once, leaving the pinned image untouched. A flush installs a fresh
+//! map rather than clearing the shared one.
 
 use pfv::Pfv;
 use std::collections::BTreeMap;
+use std::sync::Arc;
+
+/// The memtable's records: id → latest mutation (`None` is a tombstone).
+pub(crate) type Records = BTreeMap<u64, Option<Pfv>>;
 
 /// Latest per-id mutation buffered in memory. `None` is a tombstone.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Memtable {
-    records: BTreeMap<u64, Option<Pfv>>,
+    records: Arc<Records>,
 }
 
 impl Memtable {
@@ -33,8 +44,9 @@ impl Memtable {
     }
 
     /// Records a mutation, returning the previous one for the same id.
+    /// Copies the map first if a snapshot still shares it.
     pub fn put(&mut self, id: u64, value: Option<Pfv>) -> Option<Option<Pfv>> {
-        self.records.insert(id, value)
+        Arc::make_mut(&mut self.records).insert(id, value)
     }
 
     /// The buffered mutation for `id`: `None` (nothing buffered),
@@ -59,14 +71,15 @@ impl Memtable {
             .collect()
     }
 
-    /// All buffered ids (live and tombstoned), ascending.
-    pub fn ids(&self) -> impl Iterator<Item = u64> + '_ {
-        self.records.keys().copied()
+    /// A shared handle on the current records — what a snapshot pins.
+    pub fn shared(&self) -> Arc<Records> {
+        Arc::clone(&self.records)
     }
 
-    /// Drops every buffered record, e.g. after a flush.
+    /// Drops every buffered record, e.g. after a flush. Installs a fresh
+    /// map, so snapshots sharing the old one keep it.
     pub fn clear(&mut self) {
-        self.records.clear();
+        self.records = Arc::default();
     }
 }
 
@@ -92,7 +105,10 @@ mod tests {
         assert_eq!(m.live_entries().len(), 1);
         assert_eq!(m.live_entries()[0].0, 3);
         assert_eq!(m.tombstones(), vec![1, 2]);
-        assert_eq!(m.ids().collect::<Vec<_>>(), vec![1, 2, 3]);
+        assert_eq!(
+            m.shared().keys().copied().collect::<Vec<_>>(),
+            vec![1, 2, 3]
+        );
         m.clear();
         assert!(m.is_empty());
     }

@@ -25,13 +25,16 @@
 //!
 //! Newer data shadows older: a component's entry or tombstone for id `x`
 //! hides any entry for `x` in an older component, and the memtable hides
-//! everything. Queries run on [`ForestSnapshot`]s — epoch-pinned views
-//! implementing [`crate::ReadView`] that fan k-MLIQ/TIQ out across the
-//! memtable and every component, merge candidate sets through one shared
-//! heap and aggregate the Bayes denominator from per-component partial
-//! sums. k-MLIQ, ranking and box-query answers are **bit-identical** to
-//! a single Gauss-tree holding the same live set (see `ForestPlane` in
-//! the private `query` module).
+//! everything. Each component keeps its shadow set up to date on the
+//! write path, so pinning a view never recomputes it.
+//!
+//! Queries run on [`ForestSnapshot`]s — epoch-pinned views implementing
+//! [`crate::ReadView`] that fan k-MLIQ/TIQ out across the memtable and
+//! every component, merge candidate sets through one shared heap and
+//! aggregate the Bayes denominator from per-component partial sums.
+//! k-MLIQ, ranking and box-query answers are **bit-identical** to a
+//! single Gauss-tree holding the same live set (see `ForestPlane` in the
+//! private `query` module).
 
 pub(crate) mod manifest;
 pub(crate) mod memtable;
@@ -45,7 +48,7 @@ use gauss_storage::forest::ComponentStores;
 use gauss_storage::store::{Durability, PageStore};
 use gauss_storage::{AccessStats, BufferPool};
 use manifest::{ForestManifest, ManifestComponent};
-use memtable::Memtable;
+use memtable::{Memtable, Records};
 use pfv::Pfv;
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -129,6 +132,10 @@ struct Component<S: PageStore> {
     ids: HashSet<u64>,
     /// Deleted ids this component records against older components.
     tombstones: HashSet<u64>,
+    /// `ids ∩ (memtable ids ∪ ids and tombstones of every newer
+    /// component)`: the entries newer data shadows. Kept current by the
+    /// write path; snapshots share it.
+    hidden: Arc<HashSet<u64>>,
 }
 
 /// Per-component statistics reported by [`GaussForest::component_stats`].
@@ -239,6 +246,9 @@ impl<B: ComponentStores> GaussForest<B> {
         }
         let stats = AccessStats::new_shared();
         let topts = TreeOptions::new().durability(opts.durability);
+        // The memtable starts empty, so only newer components shadow.
+        let mut newer: HashSet<u64> = HashSet::new();
+        let mut live = 0u64;
         let mut comps = Vec::with_capacity(m.components.len());
         for mc in &m.components {
             let store = backend.open_component(mc.id)?;
@@ -251,20 +261,19 @@ impl<B: ComponentStores> GaussForest<B> {
             tree.for_each_entry(|id, _| {
                 ids.insert(id);
             })?;
+            let tombstones: HashSet<u64> = mc.tombstones.iter().copied().collect();
+            let hidden: HashSet<u64> = ids.intersection(&newer).copied().collect();
+            live += (ids.len() - hidden.len()) as u64;
+            newer.extend(ids.iter().copied());
+            newer.extend(tombstones.iter().copied());
             comps.push(Component {
                 id: mc.id,
                 level: mc.level,
                 tree,
                 ids,
-                tombstones: mc.tombstones.iter().copied().collect(),
+                tombstones,
+                hidden: Arc::new(hidden),
             });
-        }
-        let mut newer: HashSet<u64> = HashSet::new();
-        let mut live = 0u64;
-        for c in &comps {
-            live += c.ids.iter().filter(|id| !newer.contains(id)).count() as u64;
-            newer.extend(c.ids.iter().copied());
-            newer.extend(c.tombstones.iter().copied());
         }
         Ok(Self {
             backend,
@@ -374,10 +383,9 @@ impl<B: ComponentStores> GaussForest<B> {
             Some(q) => q,
             None => v.clone(),
         };
-        if !self.contains(id) {
+        if !self.put(id, Some(stored)) {
             self.live += 1;
         }
-        self.mem.put(id, Some(stored));
         self.maybe_flush()
     }
 
@@ -387,13 +395,34 @@ impl<B: ComponentStores> GaussForest<B> {
     /// # Errors
     /// Store errors from an auto-flush.
     pub fn delete(&mut self, id: u64) -> Result<bool, TreeError> {
-        let existed = self.contains(id);
+        let existed = self.put(id, None);
         if existed {
             self.live -= 1;
         }
-        self.mem.put(id, None);
         self.maybe_flush()?;
         Ok(existed)
+    }
+
+    /// Buffers one mutation and returns whether `id` was live before it.
+    ///
+    /// When `id` is new to the memtable, the newest component storing it
+    /// held its only visible copy: that component's shadow set gains the
+    /// id. Older components already hide it, so the walk stops there (or
+    /// at a tombstone) — the same walk as [`Self::contains`].
+    fn put(&mut self, id: u64, value: Option<Pfv>) -> bool {
+        if let Some(prev) = self.mem.put(id, value) {
+            return prev.is_some();
+        }
+        for c in &mut self.comps {
+            if c.ids.contains(&id) {
+                Arc::make_mut(&mut c.hidden).insert(id);
+                return true;
+            }
+            if c.tombstones.contains(&id) {
+                return false;
+            }
+        }
+        false
     }
 
     fn maybe_flush(&mut self) -> Result<(), TreeError> {
@@ -426,8 +455,10 @@ impl<B: ComponentStores> GaussForest<B> {
             self.mem.clear();
             return Ok(false);
         }
+        // Older components' shadow sets stay valid: the flushed ids and
+        // kept tombstones are exactly the memtable ids that shadow anything.
         let ids: HashSet<u64> = entries.iter().map(|(id, _)| *id).collect();
-        let comp = self.build_component(0, entries, ids, tombstones)?;
+        let comp = self.build_component(0, entries, ids, tombstones, HashSet::new())?;
         self.comps.insert(0, comp);
         match self.commit_manifest() {
             Ok(()) => {
@@ -480,15 +511,22 @@ impl<B: ComponentStores> GaussForest<B> {
         count: usize,
         report: &mut MaintainReport,
     ) -> Result<(), TreeError> {
-        let group: Vec<Component<B::Store>> = self.comps.drain(start..start + count).collect();
+        let group = &self.comps[start..start + count];
         // Newest-first shadowing inside the group: an id already claimed
-        // (entry or tombstone) by a newer group member wins.
+        // (entry or tombstone) by a newer group member wins. A kept entry
+        // is shadowed from above the group exactly when it was in the
+        // shadow set of the member it came from, since no newer member
+        // claims it.
         let mut group_seen: HashSet<u64> = HashSet::new();
         let mut entries: Vec<(u64, Pfv)> = Vec::new();
-        for c in &group {
+        let mut hidden: HashSet<u64> = HashSet::new();
+        for c in group {
             c.tree.for_each_entry(|id, v| {
                 if !group_seen.contains(&id) {
                     entries.push((id, v.clone()));
+                    if c.hidden.contains(&id) {
+                        hidden.insert(id);
+                    }
                 }
             })?;
             group_seen.extend(c.ids.iter().copied());
@@ -496,29 +534,37 @@ impl<B: ComponentStores> GaussForest<B> {
         }
         entries.sort_by_key(|(id, _)| *id);
         let ids: HashSet<u64> = entries.iter().map(|(id, _)| *id).collect();
-        let below = &self.comps[start..];
+        let below = &self.comps[start + count..];
         let group_tombs: usize = group.iter().map(|c| c.tombstones.len()).sum();
         // Keep a tombstone only if it still shadows something: not
         // superseded by a kept entry, and present in some older
         // component. At the oldest level every tombstone bottoms out.
+        // Every group id an older component holds thus survives as an
+        // entry or a kept tombstone, so older shadow sets stay valid.
         let tombstones: HashSet<u64> = group
             .iter()
             .flat_map(|c| c.tombstones.iter().copied())
             .filter(|t| !ids.contains(t) && below.iter().any(|c| c.ids.contains(t)))
             .collect();
-        report.components_merged += group.len();
+        report.components_merged += count;
         report.entries_rewritten += entries.len() as u64;
         report.tombstones_dropped += group_tombs - tombstones.len();
-        if entries.is_empty() && tombstones.is_empty() {
-            // The whole level cancelled out; commit its removal.
-            self.commit_manifest()?;
+        // An empty result means the whole level cancelled out: commit its
+        // removal.
+        let merged = if entries.is_empty() && tombstones.is_empty() {
+            None
         } else {
-            let comp = self.build_component(level + 1, entries, ids, tombstones)?;
-            self.comps.insert(start, comp);
-            if let Err(e) = self.commit_manifest() {
-                self.comps.remove(start);
-                return Err(e);
-            }
+            Some(self.build_component(level + 1, entries, ids, tombstones, hidden)?)
+        };
+        let merged_len = usize::from(merged.is_some());
+        let group: Vec<Component<B::Store>> =
+            self.comps.splice(start..start + count, merged).collect();
+        if let Err(e) = self.commit_manifest() {
+            // Put the group back so the in-memory list matches the
+            // durable manifest; an uncommitted merged component's store
+            // becomes an orphan that `open` cleans up.
+            drop(self.comps.splice(start..start + merged_len, group));
+            return Err(e);
         }
         // Old stores go away only after the commit: a crash in between
         // leaves readable components plus a manifest that no longer
@@ -537,6 +583,7 @@ impl<B: ComponentStores> GaussForest<B> {
         entries: Vec<(u64, Pfv)>,
         ids: HashSet<u64>,
         tombstones: HashSet<u64>,
+        hidden: HashSet<u64>,
     ) -> Result<Component<B::Store>, TreeError> {
         let id = self.next_component_id;
         self.next_component_id += 1;
@@ -562,6 +609,7 @@ impl<B: ComponentStores> GaussForest<B> {
             tree,
             ids,
             tombstones,
+            hidden: Arc::new(hidden),
         })
     }
 
@@ -604,27 +652,30 @@ impl<B: ComponentStores> GaussForest<B> {
         Ok(())
     }
 
-    /// Pins a consistent, epoch-tagged view of the whole forest:
-    /// memtable contents plus a [`Snapshot`] of every component, with
-    /// per-component shadow sets precomputed. The snapshot implements
-    /// [`crate::ReadView`] and stays valid across later flushes, merges
-    /// and reopens of the forest.
+    /// Pins a consistent, epoch-tagged view of the whole forest: the
+    /// memtable plus a [`Snapshot`] of every component, each with its
+    /// shadow set. The snapshot implements [`crate::ReadView`] and stays
+    /// valid across later writes, flushes, merges and reopens of the
+    /// forest.
+    ///
+    /// A pin costs O(components): it shares the memtable and every
+    /// shadow set instead of copying them. While the pin is alive, the
+    /// first write copies the memtable, plus one component's shadow set
+    /// when that write shadows an id in that component for the first
+    /// time; each shared structure is copied at most once per pin, and
+    /// every other operation costs what it costs without the pin.
     ///
     /// # Errors
     /// Store errors while pinning component snapshots.
     pub fn snapshot(&self) -> Result<ForestSnapshot<B::Store>, TreeError> {
-        let mem = self.mem.live_entries();
-        let mut newer: HashSet<u64> = self.mem.ids().collect();
         let mut comps = Vec::with_capacity(self.comps.len());
         for c in &self.comps {
             let snap = c.tree.snapshot()?;
-            let hidden: HashSet<u64> = c.ids.intersection(&newer).copied().collect();
-            newer.extend(c.ids.iter().copied());
-            newer.extend(c.tombstones.iter().copied());
+            let hidden = Arc::clone(&c.hidden);
             comps.push(SnapComponent { snap, hidden });
         }
         debug_assert_eq!(
-            mem.len() as u64
+            (self.mem.len() - self.mem.tombstones().len()) as u64
                 + comps
                     .iter()
                     .map(|c| c.snap.len() - c.hidden.len() as u64)
@@ -636,7 +687,7 @@ impl<B: ComponentStores> GaussForest<B> {
             config: self.config,
             epoch: self.epoch,
             live: self.live,
-            mem,
+            mem: self.mem.shared(),
             comps,
         })
     }
@@ -651,26 +702,31 @@ impl<B: ComponentStores> GaussForest<B> {
 /// snapshot plus the ids newer data shadows inside it.
 pub(crate) struct SnapComponent<S: PageStore> {
     pub(crate) snap: Snapshot<S>,
-    pub(crate) hidden: HashSet<u64>,
+    pub(crate) hidden: Arc<HashSet<u64>>,
 }
 
 impl<S: PageStore> Clone for SnapComponent<S> {
     fn clone(&self) -> Self {
         Self {
             snap: self.snap.clone(),
-            hidden: self.hidden.clone(),
+            hidden: Arc::clone(&self.hidden),
         }
     }
 }
 
 /// A consistent read view over the whole forest at one manifest epoch.
 /// See [`GaussForest::snapshot`].
+///
+/// The memtable image and the shadow sets are shared with the forest and
+/// with other snapshots, so a pin and a `clone()` both cost
+/// O(components); the forest copies a shared structure only when it
+/// next writes to it.
 pub struct ForestSnapshot<S: PageStore> {
     pub(crate) config: TreeConfig,
     pub(crate) epoch: u64,
     pub(crate) live: u64,
-    /// Live memtable entries at pin time, ascending id.
-    pub(crate) mem: Vec<(u64, Pfv)>,
+    /// Memtable records at pin time (tombstones included), ascending id.
+    pub(crate) mem: Arc<Records>,
     /// Pinned components, newest first.
     pub(crate) comps: Vec<SnapComponent<S>>,
 }
@@ -681,7 +737,7 @@ impl<S: PageStore> Clone for ForestSnapshot<S> {
             config: self.config,
             epoch: self.epoch,
             live: self.live,
-            mem: self.mem.clone(),
+            mem: Arc::clone(&self.mem),
             comps: self.comps.clone(),
         }
     }
@@ -827,6 +883,30 @@ mod tests {
         ));
     }
 
+    /// Every answer a pinned snapshot gives for `q`: k-MLIQ, TIQ, the
+    /// full ranking-cursor order and the `for_each_entry` visit order.
+    #[allow(clippy::type_complexity)]
+    fn answers<S: PageStore>(
+        s: &ForestSnapshot<S>,
+        q: &Pfv,
+    ) -> (
+        Vec<crate::MliqResult>,
+        Vec<crate::TiqResult>,
+        Vec<crate::MliqResult>,
+        Vec<(u64, Pfv)>,
+    ) {
+        use crate::view::ReadView as _;
+        let mut entries = Vec::new();
+        s.for_each_entry(|id, v| entries.push((id, v.clone())))
+            .unwrap();
+        (
+            s.k_mliq(q, 5).unwrap(),
+            s.tiq(q, 0.01, 0.05).unwrap(),
+            s.ranking_cursor(q).unwrap().take_while(|_| true).unwrap(),
+            entries,
+        )
+    }
+
     #[test]
     fn snapshot_pins_across_mutation() {
         use crate::view::ReadView as _;
@@ -834,10 +914,31 @@ mod tests {
         for i in 0..20u64 {
             f.insert(i, &v(i)).unwrap();
         }
+        // Components hold 0..16; the memtable holds 16..20.
+        assert_eq!(f.memtable_len(), 4);
         let snap = f.snapshot().unwrap();
+        let twin = snap.clone();
         assert_eq!(snap.len(), 20);
         let q = v(3);
-        let before = snap.k_mliq(&q, 5).unwrap();
+        let before = answers(&snap, &q);
+        assert_eq!(before.3.len(), 20);
+        // Overwrite memtable ids, first-touch upsert component-only ids,
+        // delete from both, then flush and merge: the shared memtable and
+        // shadow sets must be copied, never mutated under the pin.
+        f.insert(16, &v(116)).unwrap();
+        f.insert(17, &v(117)).unwrap();
+        f.insert(2, &v(102)).unwrap();
+        f.insert(9, &v(109)).unwrap();
+        assert!(f.delete(18).unwrap());
+        assert!(f.delete(3).unwrap());
+        assert!(f.delete(12).unwrap());
+        assert_eq!(f.len(), 17);
+        assert_eq!(answers(&snap, &q), before);
+        f.flush().unwrap();
+        f.maintain().unwrap();
+        assert_eq!(answers(&snap, &q), before);
+        assert_eq!(answers(&twin, &q), before);
+        assert_ne!(answers(&f.snapshot().unwrap(), &q).3, before.3);
         // Mutate heavily: the pinned snapshot must not move.
         for i in 0..20u64 {
             f.delete(i).unwrap();
@@ -845,8 +946,82 @@ mod tests {
         f.flush().unwrap();
         f.maintain().unwrap();
         assert_eq!(f.len(), 0);
-        let after = snap.k_mliq(&q, 5).unwrap();
-        assert_eq!(before, after);
+        assert_eq!(answers(&snap, &q), before);
+        assert_eq!(answers(&twin, &q), before);
         assert!(f.snapshot().unwrap().k_mliq(&q, 5).unwrap().is_empty());
+    }
+
+    /// The shadow sets as a from-scratch newest-first pass computes them
+    /// — the reference the incremental write-path upkeep must match.
+    fn rebuild_hidden<B: ComponentStores>(f: &GaussForest<B>) -> Vec<HashSet<u64>> {
+        let mut newer: HashSet<u64> = f.mem.shared().keys().copied().collect();
+        f.comps
+            .iter()
+            .map(|c| {
+                let hidden: HashSet<u64> = c.ids.intersection(&newer).copied().collect();
+                newer.extend(c.ids.iter().copied());
+                newer.extend(c.tombstones.iter().copied());
+                hidden
+            })
+            .collect()
+    }
+
+    #[test]
+    fn incremental_shadow_sets_match_rebuild() {
+        let opts = ForestOptions::new().memtable_capacity(7);
+        let mut f = GaussForest::create(
+            MemComponentStores::new(4096),
+            TreeConfig::new(2).with_capacities(6, 4),
+            opts,
+        )
+        .unwrap();
+        let mut live: HashSet<u64> = HashSet::new();
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut _pin = None;
+        for step in 0..800u64 {
+            let id = next() % 48;
+            match next() % 100 {
+                0..=39 => {
+                    f.insert(id, &v(step)).unwrap();
+                    live.insert(id);
+                }
+                40..=59 => {
+                    // Overwrite a live id, wherever it is stored.
+                    if let Some(&id) = live.iter().min_by_key(|&&x| x ^ id) {
+                        f.insert(id, &v(step)).unwrap();
+                    }
+                }
+                60..=84 => assert_eq!(f.delete(id).unwrap(), live.remove(&id)),
+                85..=91 => {
+                    f.flush().unwrap();
+                }
+                92..=97 => {
+                    f.maintain().unwrap();
+                }
+                _ => {
+                    f.flush().unwrap();
+                    f = GaussForest::open(f.into_backend(), opts).unwrap();
+                }
+            }
+            if step % 13 == 0 {
+                // Keep a pin alive so later writes take the copy path.
+                _pin = Some(f.snapshot().unwrap());
+            }
+            let rebuilt = rebuild_hidden(&f);
+            let mut visible = f.mem.live_entries().len() as u64;
+            for (c, want) in f.comps.iter().zip(&rebuilt) {
+                assert_eq!(*c.hidden, *want, "step {step}: component {}", c.id);
+                visible += (c.ids.len() - want.len()) as u64;
+            }
+            assert_eq!(f.len(), visible, "step {step}");
+            assert_eq!(f.len(), live.len() as u64, "step {step}");
+        }
+        assert!(f.component_stats().len() > 1);
     }
 }

@@ -101,8 +101,12 @@ impl<'a, S: PageStore> ForestPlane<'a, S> {
         self.snap.live == 0
     }
 
-    pub(crate) fn mem(&self) -> &'a [(u64, Pfv)] {
-        &self.snap.mem
+    /// Live memtable entries at pin time, ascending id.
+    pub(crate) fn mem(&self) -> impl Iterator<Item = (&'a u64, &'a Pfv)> {
+        self.snap
+            .mem
+            .iter()
+            .filter_map(|(id, v)| v.as_ref().map(|v| (id, v)))
     }
 
     pub(crate) fn comps(&self) -> &'a [SnapComponent<S>] {
@@ -135,7 +139,7 @@ impl<'a, S: PageStore> ForestPlane<'a, S> {
             push_candidate(&mut best, target, combine::log_joint(mode, v, q), *id);
         }
         for c in self.comps() {
-            let hidden = (!c.hidden.is_empty()).then_some(&c.hidden);
+            let hidden = (!c.hidden.is_empty()).then_some(&*c.hidden);
             c.snap
                 .tree_plane()
                 .k_mliq_scan(q, target, hidden, &mut best)?;
@@ -169,7 +173,6 @@ impl<'a, S: PageStore> ForestPlane<'a, S> {
         let mode = self.snap.config.combine;
         let mut objects: Vec<(u64, f64)> = self
             .mem()
-            .iter()
             .map(|(id, v)| (*id, combine::log_joint(mode, v, q)))
             .collect();
         let mut nodes: Vec<CompNode> = Vec::new();
@@ -472,7 +475,7 @@ impl<'a, S: PageStore> ForestPlane<'a, S> {
             }
         }
         for c in self.comps() {
-            let hidden = (!c.hidden.is_empty()).then_some(&c.hidden);
+            let hidden = (!c.hidden.is_empty()).then_some(&*c.hidden);
             c.snap
                 .tree_plane()
                 .box_query_scan(lo, hi, tau, hidden, &mut out)?;

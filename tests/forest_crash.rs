@@ -16,9 +16,13 @@
 //! commit already landed, the state including that flush. Merges must
 //! never change the live set, and the reopened forest must remain
 //! writable.
+//!
+//! A killed `maintain()` must also leave the *live handle* consistent:
+//! the merge group goes back into the component list, so the same
+//! forest still sees the committed live set.
 
 use gausstree::pfv::Pfv;
-use gausstree::storage::forest::FaultComponentStores;
+use gausstree::storage::forest::{ComponentStores, FaultComponentStores};
 use gausstree::tree::{ForestOptions, GaussForest, ReadView, TreeConfig};
 use std::collections::BTreeMap;
 
@@ -142,7 +146,7 @@ fn run_script(faults: &FaultComponentStores) -> Outcome {
 }
 
 /// The live `(id, value)` map visible in a forest.
-fn live_map(forest: &GaussForest<gausstree::storage::MemComponentStores>) -> BTreeMap<u64, Pfv> {
+fn live_map<B: ComponentStores>(forest: &GaussForest<B>) -> BTreeMap<u64, Pfv> {
     let snap = forest.snapshot().expect("snapshot");
     let mut out = BTreeMap::new();
     snap.for_each_entry(|id, value| {
@@ -212,5 +216,43 @@ fn kill_sweep_recovers_a_committed_state() {
                 );
             }
         }
+    }
+}
+
+#[test]
+fn killed_maintain_keeps_the_handle_consistent() {
+    let config = TreeConfig::new(2).with_capacities(6, 4);
+    // 16 inserts through a 4-record memtable: four committed level-0
+    // components, which maintain() merges into one.
+    let fill = |faults: &FaultComponentStores| {
+        let mut forest =
+            GaussForest::create(faults.clone(), config, forest_opts()).expect("create");
+        let mut model = BTreeMap::new();
+        for id in 0..16u64 {
+            forest.insert(id, &v(id, 0)).expect("insert");
+            model.insert(id, v(id, 0));
+        }
+        assert_eq!(forest.memtable_len(), 0, "every insert committed");
+        (forest, model)
+    };
+    let probe = FaultComponentStores::unlimited(PAGE_SIZE);
+    let (mut forest, _) = fill(&probe);
+    let before = probe.write_ops();
+    let report = forest.maintain().expect("clean maintain");
+    assert_eq!(report.components_merged, 4, "report: {report:?}");
+    let maintain_writes = probe.write_ops() - before;
+
+    for kill in 0..maintain_writes {
+        let faults = FaultComponentStores::new(PAGE_SIZE, before + kill);
+        let (mut forest, committed) = fill(&faults);
+        assert!(
+            forest.maintain().is_err(),
+            "write {kill} of {maintain_writes} inside maintain did not kill"
+        );
+        assert_eq!(
+            live_map(&forest),
+            committed,
+            "write {kill} of {maintain_writes}: the handle lost objects"
+        );
     }
 }
