@@ -33,19 +33,28 @@
 //! deliberately small buffer pool. The quantised tree's ~2x leaf fan-out
 //! must show up as fewer physical reads.
 //!
+//! The miss path's decode cost is measured on full leaf pages (d = 10 and
+//! 27, exact and quantised): `Node::read_from` + `Node::into_cached`, the
+//! write path's decoder followed by columnarising, against
+//! `CachedNode::read_from`, which parses the page straight into columns.
+//! Both results are asserted bit-identical (every column, padding lanes
+//! included) before timing.
+//!
 //! Run: `cargo run --release -p gauss_bench --bin kernel_bench`
 //! Flags: `--dims D1,D2,…` (default `2,10,27`), `--entries E` (per leaf,
 //! default 48 — the 8 KB-page capacity at d=10), `--leaves L` (default
-//! 64), `--queries Q` (default 32), `--rounds R` (default 15, best-of),
+//! 64; also the page count of the decode datapoint), `--queries Q` (default 32), `--rounds R` (default 15, best-of),
 //! `--json PATH` (write machine-readable results).
 
 use gauss_bench::{arg_value, JsonObj};
 use gauss_storage::{AccessStats, BufferPool, MemStore, DEFAULT_PAGE_SIZE};
-use gauss_tree::{GaussTree, LeafFormat, ReadView, TreeConfig};
+use gauss_tree::node::{LeafEntry, Node};
+use gauss_tree::{CachedNode, GaussTree, LeafFormat, ReadView, TreeConfig};
 use pfv::batch::{
     log_densities, log_densities_upper, log_density_one, ColumnarLeaf, FastScratch, LANE_WIDTH,
 };
 use pfv::{combine, quant, CombineMode, ParamRect, Pfv};
+use std::hint::black_box;
 use std::time::Instant;
 
 /// Deterministic xorshift so the workload needs no external RNG.
@@ -272,6 +281,119 @@ fn sweep_dim(
     }
 }
 
+/// ns/page of the two leaf-page decoders at one dimensionality and format.
+struct DecodeTimings {
+    dims: usize,
+    format: LeafFormat,
+    /// `Node::read_from` + `Node::into_cached`.
+    node_ns: f64,
+    /// `CachedNode::read_from`, straight into columns.
+    cached_ns: f64,
+}
+
+impl DecodeTimings {
+    fn key(&self) -> String {
+        let format = match self.format {
+            LeafFormat::Exact => "exact",
+            LeafFormat::Quantised => "quantised",
+        };
+        format!("decode_d{}_{format}", self.dims)
+    }
+}
+
+/// Bit patterns of every column (padding lanes included) and the ids.
+fn leaf_bits(node: &CachedNode) -> (Vec<u64>, Vec<Vec<u64>>) {
+    let CachedNode::Leaf(leaf) = node else {
+        panic!("decode datapoint pages are leaves");
+    };
+    let columns = leaf.columns.padded_columns();
+    let bits = columns
+        .iter()
+        .map(|c| c.iter().map(|x| x.to_bits()).collect())
+        .collect();
+    (leaf.ids.to_vec(), bits)
+}
+
+/// Gates and times both leaf-page decoders on `pages` full pages of
+/// `DEFAULT_PAGE_SIZE` at one dimensionality and leaf format.
+fn decode_datapoint(
+    rng: &mut Rng,
+    dims: usize,
+    format: LeafFormat,
+    pages: usize,
+    rounds: usize,
+) -> DecodeTimings {
+    let cap = TreeConfig::new(dims)
+        .with_leaf_format(format)
+        .leaf_capacity(DEFAULT_PAGE_SIZE);
+    let images: Vec<Vec<u8>> = (0..pages)
+        .map(|_| {
+            let node = Node::Leaf(
+                (0..cap as u64)
+                    .map(|id| {
+                        let v = random_pfv(rng, dims);
+                        let pfv = match format {
+                            LeafFormat::Exact => v,
+                            LeafFormat::Quantised => quantised_pfv(&v),
+                        };
+                        LeafEntry { id, pfv }
+                    })
+                    .collect(),
+            );
+            let mut page = vec![0u8; DEFAULT_PAGE_SIZE];
+            node.write_to(dims, format, &mut page);
+            page
+        })
+        .collect();
+    let two_step = |page: &[u8]| {
+        Node::read_from(dims, format, page)
+            .expect("decode datapoint page")
+            .into_cached(dims)
+    };
+    let direct =
+        |page: &[u8]| CachedNode::read_from(dims, format, page).expect("decode datapoint page");
+    for page in &images {
+        assert_eq!(
+            leaf_bits(&direct(page)),
+            leaf_bits(&two_step(page)),
+            "direct page decode diverged from read_from + into_cached (d={dims})"
+        );
+    }
+    // Several passes per round keep each timed round in the milliseconds.
+    const PASSES: usize = 8;
+    let decodes = (PASSES * pages) as f64;
+    let (node_s, _) = best_of(rounds, || {
+        for _ in 0..PASSES {
+            for page in &images {
+                black_box(two_step(black_box(page)));
+            }
+        }
+        0.0
+    });
+    let (cached_s, _) = best_of(rounds, || {
+        for _ in 0..PASSES {
+            for page in &images {
+                black_box(direct(black_box(page)));
+            }
+        }
+        0.0
+    });
+    let t = DecodeTimings {
+        dims,
+        format,
+        node_ns: node_s * 1e9 / decodes,
+        cached_ns: cached_s * 1e9 / decodes,
+    };
+    println!("  d={dims:<3} {format:?} leaf page decode ({cap} entries)");
+    println!("    read_from + into_cached: {:>9.0} ns/page", t.node_ns);
+    println!(
+        "    direct to columns      : {:>9.0} ns/page  ({:.2}x)",
+        t.cached_ns,
+        t.node_ns / t.cached_ns
+    );
+    t
+}
+
 /// Physical page reads of the Figure-7 datapoint: exact vs quantised tree.
 struct Fig7Reads {
     exact: u64,
@@ -469,6 +591,13 @@ fn main() {
         split_ns / fused_ns
     );
 
+    let decodes: Vec<DecodeTimings> = [10, 27]
+        .into_iter()
+        .flat_map(|dims| [(dims, LeafFormat::Exact), (dims, LeafFormat::Quantised)])
+        .map(|(dims, format)| decode_datapoint(&mut rng, dims, format, leaves, rounds))
+        .collect();
+    let decode_lead = &decodes[0];
+
     let reads = fig7_datapoint(&mut rng);
 
     let exact_bytes = TreeConfig::new(lead.dims).leaf_entry_bytes();
@@ -502,7 +631,13 @@ fn main() {
             .int("quantised_physical_reads", reads.quantised)
             .num("hull_split_ns_per_child", split_ns)
             .num("hull_fused_ns_per_child", fused_ns)
-            .num("hull_fused_speedup", split_ns / fused_ns);
+            .num("hull_fused_speedup", split_ns / fused_ns)
+            .num("decode_node_ns_per_page", decode_lead.node_ns)
+            .num("decode_cached_ns_per_page", decode_lead.cached_ns)
+            .num(
+                "decode_speedup",
+                decode_lead.node_ns / decode_lead.cached_ns,
+            );
         for t in &timings {
             kb = kb.obj(
                 &format!("d{}", t.dims),
@@ -511,6 +646,15 @@ fn main() {
                     .num("batched_ns_per_entry", t.batched_ns)
                     .num("fast_ns_per_entry", t.fast_ns)
                     .num("quantised_ns_per_entry", t.quantised_ns),
+            );
+        }
+        for t in &decodes {
+            kb = kb.obj(
+                &t.key(),
+                JsonObj::new()
+                    .num("decode_node_ns_per_page", t.node_ns)
+                    .num("decode_cached_ns_per_page", t.cached_ns)
+                    .num("decode_speedup", t.node_ns / t.cached_ns),
             );
         }
         let j = JsonObj::new().obj("kernel_bench", kb);

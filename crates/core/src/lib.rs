@@ -34,7 +34,11 @@
 //!   materialized struct-of-arrays and evaluated with the batched Lemma-1
 //!   kernel [`pfv::batch::log_densities`], and inner children are priced in
 //!   one fused hull sweep ([`children_log_hulls`]) — all bit-identical to
-//!   the scalar per-entry path.
+//!   the scalar per-entry path. A cache miss is one pass: one store read
+//!   straight into the pool frame ([`gauss_storage::SharedBufferPool::page`]),
+//!   then one parse of the page straight into the columns
+//!   ([`CachedNode::read_from`]); [`pfv::Pfv`]s are built only on the write
+//!   path.
 //!
 //! Nodes live in fixed-size pages behind a [`gauss_storage::SharedBufferPool`],
 //! so every query reports the same page-access statistics the paper measures

@@ -20,8 +20,8 @@
 
 use crate::config::LeafFormat;
 use gauss_storage::{PageId, Reader, Writer};
-use pfv::batch::ColumnarLeaf;
-use pfv::{quant, CombineMode, DimBounds, ParamRect, Pfv};
+use pfv::batch::{ColumnarLeaf, LANE_WIDTH};
+use pfv::{quant, CombineMode, DimBounds, ParamRect, Pfv, MIN_SIGMA};
 
 /// Bytes reserved at the start of every node page.
 pub const NODE_HEADER_BYTES: usize = 8;
@@ -75,6 +75,11 @@ pub struct ColumnarLeafNode {
 /// A node decoded once and cached for the read path (see
 /// [`crate::GaussTree`]'s node cache): leaves are materialized as columnar
 /// scans, inner nodes keep their entry vector for hull sweeps.
+///
+/// Queries build it with [`CachedNode::read_from`], one pass from the page
+/// bytes to the columns with no [`Pfv`] in between;
+/// [`Node::into_cached`] converts an already-decoded write-path [`Node`]
+/// to the same, bit-identical form.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CachedNode {
     /// Leaf level, columnar.
@@ -132,7 +137,9 @@ impl Node {
     }
 
     /// Converts the node into its cached, query-ready representation,
-    /// materializing leaves as [`ColumnarLeafNode`]s.
+    /// materializing leaves as [`ColumnarLeafNode`]s. Not the query path,
+    /// which decodes pages with [`CachedNode::read_from`] directly; this
+    /// serves callers that already hold a decoded [`Node`].
     #[must_use]
     pub fn into_cached(self, dims: usize) -> CachedNode {
         match self {
@@ -257,88 +264,241 @@ impl Node {
     }
 
     /// Deserialises a node from a page buffer, validating the node kind
-    /// against the tree's leaf `format`.
+    /// against the tree's leaf `format`. This is the write path's decoder
+    /// (it builds one [`Pfv`] per leaf entry); queries read pages through
+    /// [`CachedNode::read_from`], which shares every check.
     ///
     /// # Errors
     /// [`NodeCodecError`] on malformed pages, including a leaf kind byte
-    /// that does not match `format`.
+    /// that does not match `format` and an entry count the page cannot
+    /// hold (rejected before anything is allocated).
     pub fn read_from(dims: usize, format: LeafFormat, page: &[u8]) -> Result<Node, NodeCodecError> {
-        let mut r = Reader::new(page);
-        let kind = r.get_u8()?;
-        let count = r.get_u16()? as usize;
-        for _ in 0..(NODE_HEADER_BYTES - 3) {
-            let _ = r.get_u8()?;
-        }
-        match kind {
-            KIND_LEAF | KIND_LEAF_Q => {
-                let expected = match format {
-                    LeafFormat::Exact => KIND_LEAF,
-                    LeafFormat::Quantised => KIND_LEAF_Q,
-                };
-                if kind != expected {
-                    return Err(NodeCodecError::Corrupt(
-                        "leaf kind does not match tree leaf format",
-                    ));
-                }
-                let mut es = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let id = r.get_u64()?;
-                    let (means, sigmas) = if kind == KIND_LEAF_Q {
-                        // f32 → f64 widening is exact: the decoded node is
-                        // bit-identical to the staged one.
-                        let mut means = Vec::with_capacity(dims);
-                        for _ in 0..dims {
-                            means.push(f64::from(r.get_f32()?));
-                        }
-                        let mut sigmas = Vec::with_capacity(dims);
-                        for _ in 0..dims {
-                            sigmas.push(f64::from(r.get_f32()?));
-                        }
-                        (means, sigmas)
-                    } else {
-                        (r.get_f64_vec(dims)?, r.get_f64_vec(dims)?)
-                    };
+        match NodeRows::parse(dims, format, page)? {
+            NodeRows::Leaf(rows) => {
+                let mut es = Vec::with_capacity(rows.len());
+                for row in rows.iter() {
+                    let mut means = Vec::with_capacity(dims);
+                    let mut sigmas = Vec::with_capacity(dims);
+                    let id = rows.decode(row, |_, m, s| {
+                        means.push(m);
+                        sigmas.push(s);
+                    })?;
                     let pfv = Pfv::new(means, sigmas)
                         .map_err(|_| NodeCodecError::Corrupt("invalid pfv in leaf"))?;
                     es.push(LeafEntry { id, pfv });
                 }
                 Ok(Node::Leaf(es))
             }
-            KIND_INNER => {
-                let mut es = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let child = PageId(r.get_u64()?);
-                    if !child.is_valid() {
-                        return Err(NodeCodecError::Corrupt("invalid child pointer"));
-                    }
-                    let node_count = r.get_u64()?;
-                    let mut ds = Vec::with_capacity(dims);
-                    for _ in 0..dims {
-                        let mu_lo = r.get_f64()?;
-                        let mu_hi = r.get_f64()?;
-                        let sigma_lo = r.get_f64()?;
-                        let sigma_hi = r.get_f64()?;
-                        if !(mu_lo.is_finite()
-                            && mu_hi.is_finite()
-                            && sigma_lo.is_finite()
-                            && sigma_hi.is_finite())
-                            || mu_lo > mu_hi
-                            || sigma_lo > sigma_hi
-                        {
-                            return Err(NodeCodecError::Corrupt("invalid bounds"));
-                        }
-                        ds.push(DimBounds::new(mu_lo, mu_hi, sigma_lo, sigma_hi));
-                    }
-                    es.push(InnerEntry {
-                        child,
-                        count: node_count,
-                        rect: ParamRect::from_dims(ds),
-                    });
+            NodeRows::Inner(rows) => Ok(Node::Inner(rows.decode()?)),
+        }
+    }
+}
+
+impl CachedNode {
+    /// Decodes a node page straight into its query-ready form: leaf
+    /// entries are parsed directly into the padded `μ`/`σ` columns and the
+    /// `ids` of a [`ColumnarLeafNode`] (then
+    /// [`ColumnarLeaf::from_columns`] derives `σ²`, `ln σ` and the peak
+    /// bound), with no intermediate [`Pfv`] or per-entry allocation.
+    ///
+    /// Runs the same validation as [`Node::read_from`] and yields a node
+    /// bit-identical to `Node::read_from(..)?.into_cached(dims)`; the two
+    /// accept and reject exactly the same pages.
+    ///
+    /// # Errors
+    /// [`NodeCodecError`] on malformed pages, as for [`Node::read_from`].
+    pub fn read_from(
+        dims: usize,
+        format: LeafFormat,
+        page: &[u8],
+    ) -> Result<CachedNode, NodeCodecError> {
+        match NodeRows::parse(dims, format, page)? {
+            NodeRows::Leaf(rows) => {
+                let len = rows.len();
+                let stride = len.next_multiple_of(LANE_WIDTH);
+                let mut ids = Vec::with_capacity(len);
+                let mut mu = vec![0.0f64; dims * stride].into_boxed_slice();
+                let mut sigma = vec![1.0f64; dims * stride].into_boxed_slice();
+                for (e, row) in rows.iter().enumerate() {
+                    ids.push(rows.decode(row, |d, m, s| {
+                        mu[d * stride + e] = m;
+                        sigma[d * stride + e] = s;
+                    })?);
                 }
-                Ok(Node::Inner(es))
+                Ok(CachedNode::Leaf(ColumnarLeafNode {
+                    ids: ids.into_boxed_slice(),
+                    columns: ColumnarLeaf::from_columns(dims, len, mu, sigma),
+                }))
+            }
+            NodeRows::Inner(rows) => Ok(CachedNode::Inner(rows.decode()?)),
+        }
+    }
+}
+
+/// A node page that passed the header checks shared by both decoders:
+/// the kind byte is known and matches the tree's [`LeafFormat`], and
+/// `count × entry bytes` fits the page body, so the entries split into
+/// exactly `count` fixed-width rows. Nothing has been allocated yet; the
+/// per-value checks run as each row is decoded.
+enum NodeRows<'a> {
+    Leaf(LeafRows<'a>),
+    Inner(InnerRows<'a>),
+}
+
+impl<'a> NodeRows<'a> {
+    fn parse(dims: usize, format: LeafFormat, page: &'a [u8]) -> Result<Self, NodeCodecError> {
+        let mut r = Reader::new(page);
+        let kind = r.get_u8()?;
+        let count = usize::from(r.get_u16()?);
+        for _ in 0..(NODE_HEADER_BYTES - 3) {
+            let _ = r.get_u8()?;
+        }
+        let body = &page[NODE_HEADER_BYTES..];
+        let rows = |entry_bytes: usize| -> Result<&'a [u8], NodeCodecError> {
+            if count > 0 && dims == 0 {
+                return Err(NodeCodecError::Corrupt("entries without dimensions"));
+            }
+            match count.checked_mul(entry_bytes) {
+                Some(n) if n <= body.len() => Ok(&body[..n]),
+                _ => Err(NodeCodecError::Corrupt("entry count exceeds the page")),
+            }
+        };
+        match kind {
+            KIND_LEAF | KIND_LEAF_Q => {
+                let quantised = kind == KIND_LEAF_Q;
+                if quantised != (format == LeafFormat::Quantised) {
+                    return Err(NodeCodecError::Corrupt(
+                        "leaf kind does not match tree leaf format",
+                    ));
+                }
+                let value_bytes = if quantised { 4 } else { 8 };
+                let entry_bytes = 8 + 2 * dims * value_bytes;
+                Ok(NodeRows::Leaf(LeafRows {
+                    body: rows(entry_bytes)?,
+                    entry_bytes,
+                    dims,
+                    quantised,
+                }))
+            }
+            KIND_INNER => {
+                let entry_bytes = 16 + 32 * dims;
+                Ok(NodeRows::Inner(InnerRows {
+                    body: rows(entry_bytes)?,
+                    entry_bytes,
+                    dims,
+                }))
             }
             _ => Err(NodeCodecError::Corrupt("unknown node kind")),
         }
+    }
+}
+
+/// The rows of a leaf page: `[id: u64] [means: d × w] [sigmas: d × w]`
+/// with `w` = 8 (`f64`) or 4 (`f32`, quantised).
+struct LeafRows<'a> {
+    body: &'a [u8],
+    entry_bytes: usize,
+    dims: usize,
+    quantised: bool,
+}
+
+impl<'a> LeafRows<'a> {
+    fn len(&self) -> usize {
+        self.body.len() / self.entry_bytes
+    }
+
+    fn iter(&self) -> std::slice::ChunksExact<'a, u8> {
+        self.body.chunks_exact(self.entry_bytes)
+    }
+
+    /// Validates one row and hands each dimension's `(d, μ, σ)` to `put`
+    /// in dimension order, `σ` clamped exactly as [`Pfv::new`] stores it;
+    /// returns the entry's id.
+    fn decode(
+        &self,
+        row: &[u8],
+        mut put: impl FnMut(usize, f64, f64),
+    ) -> Result<u64, NodeCodecError> {
+        let (id, values) = row
+            .split_first_chunk::<8>()
+            .ok_or(NodeCodecError::Corrupt("short leaf row"))?;
+        if self.quantised {
+            // f32 → f64 widening is exact: the decoded node is
+            // bit-identical to the staged one.
+            let (words, _) = values.as_chunks::<4>();
+            let (means, sigmas) = words.split_at(self.dims);
+            for (d, (m, s)) in means.iter().zip(sigmas).enumerate() {
+                let m = f64::from(f32::from_le_bytes(*m));
+                put(
+                    d,
+                    m,
+                    admissible_sigma(m, f64::from(f32::from_le_bytes(*s)))?,
+                );
+            }
+        } else {
+            let (words, _) = values.as_chunks::<8>();
+            let (means, sigmas) = words.split_at(self.dims);
+            for (d, (m, s)) in means.iter().zip(sigmas).enumerate() {
+                let m = f64::from_le_bytes(*m);
+                put(d, m, admissible_sigma(m, f64::from_le_bytes(*s))?);
+            }
+        }
+        Ok(u64::from_le_bytes(*id))
+    }
+}
+
+/// [`Pfv::new`]'s admission rule for one `(μ, σ)` pair: both finite and
+/// `σ ≥ 0`, with `σ` then clamped to [`MIN_SIGMA`].
+#[inline]
+fn admissible_sigma(m: f64, s: f64) -> Result<f64, NodeCodecError> {
+    if !m.is_finite() || !s.is_finite() || s < 0.0 {
+        return Err(NodeCodecError::Corrupt("invalid pfv in leaf"));
+    }
+    Ok(if s < MIN_SIGMA { MIN_SIGMA } else { s })
+}
+
+/// The rows of an inner page: `[child: u64] [subtree count: u64]` then
+/// `mu_lo, mu_hi, sigma_lo, sigma_hi` (`f64`) per dimension.
+struct InnerRows<'a> {
+    body: &'a [u8],
+    entry_bytes: usize,
+    dims: usize,
+}
+
+impl InnerRows<'_> {
+    /// Validates and decodes every row: a valid child pointer and finite,
+    /// ordered bounds in every dimension.
+    fn decode(&self) -> Result<Vec<InnerEntry>, NodeCodecError> {
+        let mut es = Vec::with_capacity(self.body.len() / self.entry_bytes);
+        for row in self.body.chunks_exact(self.entry_bytes) {
+            let (words, _) = row.as_chunks::<8>();
+            let (head, bounds) = words.split_at(2);
+            let child = PageId(u64::from_le_bytes(head[0]));
+            if !child.is_valid() {
+                return Err(NodeCodecError::Corrupt("invalid child pointer"));
+            }
+            let mut ds = Vec::with_capacity(self.dims);
+            for b in bounds.chunks_exact(4) {
+                let [mu_lo, mu_hi, sigma_lo, sigma_hi] =
+                    [0, 1, 2, 3].map(|i| f64::from_le_bytes(b[i]));
+                if !(mu_lo.is_finite()
+                    && mu_hi.is_finite()
+                    && sigma_lo.is_finite()
+                    && sigma_hi.is_finite())
+                    || mu_lo > mu_hi
+                    || sigma_lo > sigma_hi
+                {
+                    return Err(NodeCodecError::Corrupt("invalid bounds"));
+                }
+                ds.push(DimBounds::new(mu_lo, mu_hi, sigma_lo, sigma_hi));
+            }
+            es.push(InnerEntry {
+                child,
+                count: u64::from_le_bytes(head[1]),
+                rect: ParamRect::from_dims(ds),
+            });
+        }
+        Ok(es)
     }
 }
 
@@ -517,6 +677,32 @@ mod tests {
         node.write_to(2, LeafFormat::Exact, &mut page);
         // Cut the page short mid-entry.
         assert!(Node::read_from(2, LeafFormat::Exact, &page[..40]).is_err());
+    }
+
+    #[test]
+    fn rejects_impossible_entry_count_before_allocating() {
+        // A corrupt header claiming u16::MAX entries would ask for MBs of
+        // entry vectors/columns; the size check must fail it first, as a
+        // `Corrupt` error (a late read would surface as `Short` instead).
+        for (node, format) in [
+            (sample_leaf(), LeafFormat::Exact),
+            (sample_leaf_q(), LeafFormat::Quantised),
+            (sample_inner(), LeafFormat::Exact),
+        ] {
+            let mut page = vec![0u8; 4096];
+            node.write_to(2, format, &mut page);
+            page[1..3].copy_from_slice(&u16::MAX.to_le_bytes());
+            let err = Node::read_from(2, format, &page).unwrap_err();
+            assert!(
+                matches!(err, NodeCodecError::Corrupt("entry count exceeds the page")),
+                "{err}"
+            );
+            let err = CachedNode::read_from(2, format, &page).unwrap_err();
+            assert!(
+                matches!(err, NodeCodecError::Corrupt("entry count exceeds the page")),
+                "{err}"
+            );
+        }
     }
 
     #[test]

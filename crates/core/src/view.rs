@@ -104,13 +104,22 @@ impl<'a, S: PageStore> Plane<'a, S> {
     /// page is *always* requested from the buffer pool first — access
     /// accounting is identical to [`Plane::read_node`] — and only the
     /// decode step is skipped on a node-cache hit.
+    ///
+    /// A node-cache miss costs one pass: the pool hands out the frame
+    /// (on a pool miss, one store read straight into the frame), and
+    /// [`CachedNode::read_from`] parses it straight into the columnar form.
+    /// No [`Pfv`] is built; those exist only on the write path
+    /// ([`Plane::read_node`]).
     pub(crate) fn read_node_cached(&self, page: PageId) -> Result<Arc<CachedNode>, TreeError> {
         let bytes = self.pool.page(page)?;
         if let Some(cached) = self.node_cache.get(page) {
             return Ok(cached);
         }
-        let node = Node::read_from(self.config.dims, self.config.leaf_format, &bytes)?;
-        let cached = Arc::new(node.into_cached(self.config.dims));
+        let cached = Arc::new(CachedNode::read_from(
+            self.config.dims,
+            self.config.leaf_format,
+            &bytes,
+        )?);
         self.node_cache.insert(page, Arc::clone(&cached));
         Ok(cached)
     }

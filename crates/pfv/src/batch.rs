@@ -107,7 +107,7 @@ pub struct ColumnarLeaf {
 impl ColumnarLeaf {
     /// Transposes `vs` into columnar form, padding each column to a
     /// [`LANE_WIDTH`] multiple and precomputing `σv²`, `ln σv` and the
-    /// per-entry peak bound.
+    /// per-entry peak bound (via [`ColumnarLeaf::from_columns`]).
     ///
     /// # Panics
     /// Panics if any pfv's dimensionality differs from `dims`.
@@ -117,23 +117,68 @@ impl ColumnarLeaf {
         let stride = len.next_multiple_of(LANE_WIDTH);
         let mut mu = vec![0.0f64; dims * stride].into_boxed_slice();
         let mut sigma = vec![1.0f64; dims * stride].into_boxed_slice();
+        for (e, v) in vs.enumerate() {
+            assert_eq!(v.dims(), dims, "dimensionality mismatch in leaf");
+            for (d, (&m, &s)) in v.means().iter().zip(v.sigmas().iter()).enumerate() {
+                mu[d * stride + e] = m;
+                sigma[d * stride + e] = s;
+            }
+        }
+        Self::from_columns(dims, len, mu, sigma)
+    }
+
+    /// Builds a leaf of `len` entries from dimension-major `μ`/`σ` columns
+    /// that are already padded — value `(e, d)` at index `d·stride + e`,
+    /// `stride = len.next_multiple_of(LANE_WIDTH)` — and derives the `σ²`,
+    /// `ln σ` and peak-bound ([`ColumnarLeaf::log_norm_col`]) columns.
+    ///
+    /// This is the one place the derived columns are computed:
+    /// [`ColumnarLeaf::from_pfvs`] transposes into columns and calls it,
+    /// and page decoders that parse straight into columns call it without
+    /// building a [`Pfv`] at all. Each entry's peak bound starts at
+    /// `d·(`[`PEAK_SLACK_PER_DIM`]` − ln √(2π))` and subtracts `ln σ` in
+    /// dimension order, so a leaf built either way is bit-identical.
+    ///
+    /// The values must already be what [`Pfv::new`] admits and stores:
+    /// finite means, finite sigmas clamped to at least
+    /// [`MIN_SIGMA`](crate::MIN_SIGMA). The padding lanes (`len..stride` of
+    /// every column) are reset to the benign `μ = 0`, `σ = 1`, so their
+    /// contents on input do not matter.
+    ///
+    /// # Panics
+    /// Panics if either column is not `dims · stride` values long.
+    #[must_use]
+    pub fn from_columns(
+        dims: usize,
+        len: usize,
+        mut mu: Box<[f64]>,
+        mut sigma: Box<[f64]>,
+    ) -> Self {
+        let stride = len.next_multiple_of(LANE_WIDTH);
+        assert_eq!(mu.len(), dims * stride, "mean column length mismatch");
+        assert_eq!(sigma.len(), dims * stride, "sigma column length mismatch");
         let mut var = vec![1.0f64; dims * stride].into_boxed_slice();
         let mut ln_sigma = vec![0.0f64; dims * stride].into_boxed_slice();
         let mut log_norm = vec![f64::NEG_INFINITY; stride].into_boxed_slice();
         #[allow(clippy::cast_precision_loss)] // dims is a small page fan-in
         let norm_base = dims as f64 * (PEAK_SLACK_PER_DIM - LN_SQRT_2PI);
-        for (e, v) in vs.enumerate() {
-            assert_eq!(v.dims(), dims, "dimensionality mismatch in leaf");
-            let mut norm = norm_base;
-            for (d, (&m, &s)) in v.means().iter().zip(v.sigmas().iter()).enumerate() {
-                mu[d * stride + e] = m;
-                sigma[d * stride + e] = s;
-                var[d * stride + e] = s * s;
+        log_norm[..len].fill(norm_base);
+        for d in 0..dims {
+            let col = d * stride..d * stride + len;
+            let pad = d * stride + len..(d + 1) * stride;
+            mu[pad.clone()].fill(0.0);
+            sigma[pad].fill(1.0);
+            for (((&s, v), l), norm) in sigma[col.clone()]
+                .iter()
+                .zip(&mut var[col.clone()])
+                .zip(&mut ln_sigma[col])
+                .zip(&mut log_norm[..len])
+            {
+                *v = s * s;
                 let ls = s.ln();
-                ln_sigma[d * stride + e] = ls;
-                norm -= ls;
+                *l = ls;
+                *norm -= ls;
             }
-            log_norm[e] = norm;
         }
         Self {
             len,
@@ -217,6 +262,22 @@ impl ColumnarLeaf {
     #[must_use]
     pub fn log_norm_col(&self) -> &[f64] {
         &self.log_norm[..self.len]
+    }
+
+    /// Every stored column with its padding lanes, in the order `μ`, `σ`,
+    /// `σ²`, `ln σ` (each `dims · padded_len` values, dimension-major) and
+    /// the peak bound (`padded_len` values). Two leaves whose columns agree
+    /// bit for bit behave identically in every kernel; equivalence tests
+    /// compare them with `to_bits`, since `f64 ==` hides `-0.0` vs `0.0`.
+    #[must_use]
+    pub fn padded_columns(&self) -> [&[f64]; 5] {
+        [
+            &self.mu,
+            &self.sigma,
+            &self.var,
+            &self.ln_sigma,
+            &self.log_norm,
+        ]
     }
 
     fn mu_padded(&self, d: usize) -> &[f64] {
@@ -627,6 +688,54 @@ mod tests {
             let want = combine::log_joint(CombineMode::Convolution, v, &q);
             assert_eq!(got.to_bits(), want.to_bits());
             assert_eq!(got, f64::NEG_INFINITY);
+        }
+    }
+
+    #[test]
+    fn derived_columns_match_the_per_entry_definition() {
+        // Recompute every derived value entry by entry, in the documented
+        // order, and compare bit for bit (padding lanes included).
+        for (dims, n) in [(1, 1), (4, 7), (10, 48), (27, 9), (3, 0)] {
+            let (vs, leaf) = sample_leaf(dims, n, 31 + n as u64);
+            let stride = leaf.padded_len();
+            #[allow(clippy::cast_precision_loss)]
+            let norm_base = dims as f64 * (PEAK_SLACK_PER_DIM - LN_SQRT_2PI);
+            for e in 0..stride {
+                let mut norm = norm_base;
+                for d in 0..dims {
+                    let i = d * stride + e;
+                    let (m, s) = vs.get(e).map_or((0.0, 1.0), |v| v.component(d));
+                    assert_eq!(leaf.mu[i].to_bits(), m.to_bits());
+                    assert_eq!(leaf.sigma[i].to_bits(), s.to_bits());
+                    assert_eq!(leaf.var[i].to_bits(), (s * s).to_bits());
+                    assert_eq!(leaf.ln_sigma[i].to_bits(), s.ln().to_bits());
+                    norm -= s.ln();
+                }
+                let want = if e < n { norm } else { f64::NEG_INFINITY };
+                assert_eq!(leaf.log_norm[e].to_bits(), want.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn from_columns_resets_padding_lanes() {
+        let (vs, leaf) = sample_leaf(3, 5, 77);
+        let stride = leaf.padded_len();
+        let mut mu = vec![f64::NAN; 3 * stride].into_boxed_slice();
+        let mut sigma = vec![-4.0; 3 * stride].into_boxed_slice();
+        for (e, v) in vs.iter().enumerate() {
+            for d in 0..3 {
+                (mu[d * stride + e], sigma[d * stride + e]) = v.component(d);
+            }
+        }
+        let direct = ColumnarLeaf::from_columns(3, 5, mu, sigma);
+        let bits = |c: &[f64]| c.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (a, b) in direct
+            .padded_columns()
+            .into_iter()
+            .zip(leaf.padded_columns())
+        {
+            assert_eq!(bits(a), bits(b));
         }
     }
 

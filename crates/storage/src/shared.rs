@@ -270,6 +270,11 @@ impl<S: PageStore> SharedBufferPool<S> {
     /// concurrent eviction or write simply replaces the shard's `Arc`
     /// without invalidating handles already given out.
     ///
+    /// A miss costs one allocation and one store read: the frame is
+    /// allocated zeroed at page size, the store reads straight into it, and
+    /// that same allocation is installed in the shard — no staging buffer,
+    /// no copy.
+    ///
     /// # Errors
     /// Propagates store errors on a miss.
     pub fn page(&self, id: PageId) -> Result<Arc<[u8]>, StoreError> {
@@ -299,9 +304,11 @@ impl<S: PageStore> SharedBufferPool<S> {
             }
         }
         self.stats.record_physical_read();
-        let mut buf = vec![0u8; self.page_size];
-        store.read_page(id, &mut buf)?;
-        let data: Arc<[u8]> = Arc::from(buf);
+        // One allocation, read in place: collecting an exact-length
+        // iterator allocates the `Arc` once, and `make_mut` on the
+        // not-yet-shared frame hands out its bytes without cloning them.
+        let mut data: Arc<[u8]> = std::iter::repeat_n(0u8, self.page_size).collect();
+        store.read_page(id, Arc::make_mut(&mut data))?;
         let mut shard = self.shard_of(id).lock();
         if shard.insert(id, Arc::clone(&data), self.shard_cap) {
             self.stats.record_eviction();
