@@ -9,17 +9,17 @@
 //! batched columnar kernel ([`pfv::batch::log_densities`]), so the cursor's
 //! per-hit densities are bit-identical to the scalar per-entry path.
 //!
-//! Over a [`crate::ForestSnapshot`] the same frontier simply spans every
-//! component: memtable entries enter as ready objects, each component
-//! contributes its root, and node bounds carry their component index so
-//! expansion reads the right tree (shadowed ids are skipped). Because
-//! emission is ordered by exact density, the ranking equals the
-//! single-tree ranking over the live set.
+//! The frontier is the one every query runs on (see [`crate::query`]):
+//! `(part, node)` bounds seeded from each part's root, plus memtable
+//! entries as ready objects; hidden ids are skipped on leaf expansion. A
+//! single tree is the one-part case. Because emission is ordered by exact
+//! density, a forest's ranking equals the single-tree ranking over the
+//! live set.
 
 use crate::node::CachedNode;
 use crate::query::MliqResult;
 use crate::tree::TreeError;
-use crate::view::{Plane, ViewPlane};
+use crate::view::ReadPlane;
 use gauss_storage::store::PageStore;
 use gauss_storage::PageId;
 use pfv::{batch, combine, Pfv};
@@ -27,7 +27,7 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 /// An element of the traversal frontier: either an unexpanded node (tagged
-/// with the component it belongs to; 0 for a single tree) or a concrete
+/// with the part it belongs to; 0 for a single tree) or a concrete
 /// object, ordered by its (bound on the) log density.
 #[derive(Debug, Clone, Copy)]
 enum Frontier {
@@ -95,7 +95,7 @@ impl Ord for Frontier {
 ///
 /// [`ReadView::ranking_cursor`]: crate::view::ReadView::ranking_cursor
 pub struct RankingCursor<'t, S: PageStore> {
-    view: ViewPlane<'t, S>,
+    view: ReadPlane<'t, S>,
     query: Pfv,
     heap: BinaryHeap<Frontier>,
     emitted: u64,
@@ -119,30 +119,13 @@ impl<'t, S: PageStore> RankingCursor<'t, S> {
         self.emitted
     }
 
-    /// The component plane and shadow set behind frontier entry `comp`.
-    fn comp_plane(
-        &self,
-        comp: usize,
-    ) -> (Plane<'t, S>, Option<&'t std::collections::HashSet<u64>>) {
-        match &self.view {
-            ViewPlane::Tree(plane) => (*plane, None),
-            ViewPlane::Forest(fp) => {
-                let c = &fp.comps()[comp];
-                (
-                    c.snap.tree_plane(),
-                    (!c.hidden.is_empty()).then_some(&*c.hidden),
-                )
-            }
-        }
-    }
-
     /// Returns the next-most-likely object, or `None` when the database is
     /// exhausted.
     ///
     /// # Errors
     /// Storage / codec errors while expanding nodes.
     pub fn next_hit(&mut self) -> Result<Option<MliqResult>, TreeError> {
-        let mode = self.view.config().combine;
+        let mode = self.view.config.combine;
         while let Some(top) = self.heap.pop() {
             match top {
                 Frontier::Object { log_density, id } => {
@@ -150,16 +133,15 @@ impl<'t, S: PageStore> RankingCursor<'t, S> {
                     return Ok(Some(MliqResult { id, log_density }));
                 }
                 Frontier::NodeBound { comp, page, .. } => {
-                    let (plane, hidden) = self.comp_plane(comp);
-                    match &*plane.read_node_cached(page)? {
+                    let part = &self.view.parts[comp];
+                    match &*part.plane.read_node_cached(page)? {
                         CachedNode::Leaf(leaf) => {
                             self.dens.resize(leaf.columns.len(), 0.0);
                             batch::log_densities(mode, &self.query, &leaf.columns, &mut self.dens);
                             for (&id, &log_density) in leaf.ids.iter().zip(self.dens.iter()) {
-                                if hidden.is_some_and(|h| h.contains(&id)) {
-                                    continue;
+                                if !part.hides(id) {
+                                    self.heap.push(Frontier::Object { log_density, id });
                                 }
-                                self.heap.push(Frontier::Object { log_density, id });
                             }
                         }
                         CachedNode::Inner(es) => {
@@ -201,42 +183,24 @@ impl<'t, S: PageStore> RankingCursor<'t, S> {
     }
 }
 
-impl<'t, S: PageStore> ViewPlane<'t, S> {
+impl<'t, S: PageStore> ReadPlane<'t, S> {
     /// Starts a lazy best-first ranking for `q` — the constructor behind
     /// [`crate::view::ReadView::ranking_cursor`].
     pub(crate) fn ranking_cursor(self, q: &Pfv) -> Result<RankingCursor<'t, S>, TreeError> {
         self.check_dims(q.dims())?;
-        let mut heap = BinaryHeap::new();
-        match &self {
-            ViewPlane::Tree(plane) => {
-                if !plane.is_empty() {
-                    heap.push(Frontier::NodeBound {
-                        log_upper: f64::INFINITY,
-                        comp: 0,
-                        page: plane.root_page(),
-                    });
-                }
-            }
-            ViewPlane::Forest(fp) => {
-                let mode = fp.config().combine;
-                for (id, v) in fp.mem() {
-                    heap.push(Frontier::Object {
-                        log_density: combine::log_joint(mode, v, q),
-                        id: *id,
-                    });
-                }
-                for (ci, c) in fp.comps().iter().enumerate() {
-                    let plane = c.snap.tree_plane();
-                    if !plane.is_empty() {
-                        heap.push(Frontier::NodeBound {
-                            log_upper: f64::INFINITY,
-                            comp: ci,
-                            page: plane.root_page(),
-                        });
-                    }
-                }
-            }
-        }
+        let mode = self.config.combine;
+        let mut heap: BinaryHeap<Frontier> = self
+            .mem()
+            .map(|(id, v)| Frontier::Object {
+                log_density: combine::log_joint(mode, v, q),
+                id,
+            })
+            .collect();
+        heap.extend(self.roots().map(|r| Frontier::NodeBound {
+            log_upper: r.log_upper,
+            comp: r.comp,
+            page: r.page,
+        }));
         Ok(RankingCursor {
             view: self,
             query: q.clone(),

@@ -29,16 +29,16 @@
 //! write path, so pinning a view never recomputes it.
 //!
 //! Queries run on [`ForestSnapshot`]s — epoch-pinned views implementing
-//! [`crate::ReadView`] that fan k-MLIQ/TIQ out across the memtable and
-//! every component, merge candidate sets through one shared heap and
-//! aggregate the Bayes denominator from per-component partial sums.
-//! k-MLIQ, ranking and box-query answers are **bit-identical** to a
-//! single Gauss-tree holding the same live set (see `ForestPlane` in the
-//! private `query` module).
+//! [`crate::ReadView`]. A snapshot's read-plane lists one part per
+//! component (with its shadow set) plus the memtable image, and the one
+//! query engine of [`crate::query`] walks a single best-first frontier
+//! over `(component, node)` with memtable entries as ready objects and
+//! one Bayes-denominator accumulator. k-MLIQ, ranking and box-query
+//! answers are **bit-identical** to a single Gauss-tree holding the same
+//! live set (the [`crate::query`] module docs say why).
 
 pub(crate) mod manifest;
 pub(crate) mod memtable;
-pub(crate) mod query;
 
 use crate::bulk::BulkLoadOptions;
 use crate::config::TreeConfig;

@@ -16,7 +16,7 @@
 
 use crate::node::Node;
 use crate::tree::TreeError;
-use crate::view::Plane;
+use crate::view::{Part, ReadPlane};
 use gauss_storage::store::PageStore;
 use pfv::hull::DimBounds;
 use pfv::Pfv;
@@ -69,9 +69,10 @@ pub fn mass_upper_1d(bounds: &DimBounds, lo: f64, hi: f64) -> f64 {
     ((hi - lo) * bounds.upper(x_star)).min(1.0)
 }
 
-impl<S: PageStore> Plane<'_, S> {
+impl<S: PageStore> ReadPlane<'_, S> {
     /// Probabilistic box threshold query — the algorithm behind
-    /// [`crate::view::ReadView::probabilistic_box_query`].
+    /// [`crate::view::ReadView::probabilistic_box_query`]: an exact filter
+    /// over the memtable, then every part's pruned descent.
     pub(crate) fn probabilistic_box_query(
         &self,
         lo: &[f64],
@@ -79,17 +80,22 @@ impl<S: PageStore> Plane<'_, S> {
         tau: f64,
     ) -> Result<Vec<BoxQueryResult>, TreeError> {
         assert!(tau > 0.0 && tau <= 1.0, "tau must be in (0,1], got {tau}");
-        if lo.len() != self.dims() || hi.len() != self.dims() {
-            return Err(TreeError::DimMismatch {
-                expected: self.dims(),
-                got: lo.len(),
-            });
-        }
+        self.check_dims(lo.len())?;
+        self.check_dims(hi.len())?;
         for i in 0..lo.len() {
             assert!(lo[i] <= hi[i], "reversed box in dim {i}");
         }
-        let mut out = Vec::new();
-        self.box_query_scan(lo, hi, tau, None, &mut out)?;
+        let mut out: Vec<BoxQueryResult> = self
+            .mem()
+            .map(|(id, v)| BoxQueryResult {
+                id,
+                probability: containment_probability(v, lo, hi),
+            })
+            .filter(|r| r.probability >= tau)
+            .collect();
+        for part in &self.parts {
+            part.box_query_scan(lo, hi, tau, &mut out)?;
+        }
         out.sort_by(|a, b| {
             b.probability
                 .total_cmp(&a.probability)
@@ -97,29 +103,28 @@ impl<S: PageStore> Plane<'_, S> {
         });
         Ok(out)
     }
+}
 
-    /// The pruned box-query descent over *this* tree, appending qualifying
-    /// objects to a caller-owned vector (unsorted). `hidden` names entry
-    /// ids to skip — the forest passes ids shadowed by newer components.
-    /// Inputs are assumed validated by the caller.
-    pub(crate) fn box_query_scan(
+impl<S: PageStore> Part<'_, S> {
+    /// The pruned box-query descent over this part's tree, appending
+    /// qualifying visible objects to `out` (unsorted). Inputs are assumed
+    /// validated by the caller.
+    fn box_query_scan(
         &self,
         lo: &[f64],
         hi: &[f64],
         tau: f64,
-        hidden: Option<&std::collections::HashSet<u64>>,
         out: &mut Vec<BoxQueryResult>,
     ) -> Result<(), TreeError> {
-        if self.is_empty() {
+        if self.plane.is_empty() {
             return Ok(());
         }
-        let skip = |id: u64| hidden.is_some_and(|h| h.contains(&id));
-        let mut stack = vec![self.root_page()];
+        let mut stack = vec![self.plane.root_page()];
         while let Some(page) = stack.pop() {
-            match self.read_node(page)? {
+            match self.plane.read_node(page)? {
                 Node::Leaf(es) => {
                     for e in &es {
-                        if skip(e.id) {
+                        if self.hides(e.id) {
                             continue;
                         }
                         let p = containment_probability(&e.pfv, lo, hi);
@@ -269,6 +274,15 @@ mod tests {
         let items = grid_items();
         let tree = build(&items);
         assert!(tree.probabilistic_box_query(&[0.0], &[1.0], 0.5).is_err());
+        // A correct `lo` with a `hi` one dimension too long must report
+        // the length of `hi`.
+        assert!(matches!(
+            tree.probabilistic_box_query(&[0.0, 0.0], &[1.0, 1.0, 1.0], 0.5),
+            Err(TreeError::DimMismatch {
+                expected: 2,
+                got: 3
+            })
+        ));
     }
 
     #[test]

@@ -1,11 +1,15 @@
-//! Query processing on the Gauss-tree (paper §5.2).
+//! Query processing (paper §5.2): one best-first engine for every view.
 //!
-//! All three algorithms run best-first over a priority queue of *active
-//! nodes* ordered by the conservative upper bound `N̂` of the node's
-//! Gaussians evaluated for the query (Hjaltason–Samet, as in §5.2.1).
-//! They are implemented once against the shared read-plane
-//! ([`crate::view::Plane`]) and surface on both the writer handle and
-//! pinned snapshots through [`crate::view::ReadView`]:
+//! All algorithms run best-first over a priority queue of *active nodes*
+//! ordered by the conservative upper bound `N̂` of the node's Gaussians
+//! evaluated for the query (Hjaltason–Samet, as in §5.2.1). They run once,
+//! against the `ReadPlane` that every [`crate::view::ReadView`] exposes:
+//! a memtable image plus a list of trees ("parts"), each with the ids it
+//! hides. A [`GaussTree`](crate::tree::GaussTree) or
+//! [`Snapshot`](crate::tree::Snapshot) is a forest with one part, no
+//! memtable and nothing hidden; a [`ForestSnapshot`](crate::ForestSnapshot)
+//! has one part per component. The frontier spans `(part, node)` pairs,
+//! and live memtable entries enter as ready objects.
 //!
 //! * [`ReadView::k_mliq`] — the plain k-most-likely identification query:
 //!   finds the k objects with maximal relative probability (density); stops
@@ -20,18 +24,45 @@
 //!   below the threshold, and processing stops when no unexplored node can
 //!   contain a qualifying object and every candidate is decided.
 //!
+//! # Why a forest answers like a single tree
+//!
+//! Candidate selection is a pure function of the *multiset of (id,
+//! density) pairs of the live set* under a strict total order:
+//!
+//! * **k-MLIQ** keeps one top-k heap over the memtable and every part.
+//!   Densities are computed by the same kernels everywhere
+//!   ([`pfv::combine::log_joint`] ≡ [`pfv::batch`], and memtable values are
+//!   pre-quantised), ids are unique across the live set, and the
+//!   `(density, id)` order is total — so the surviving k are independent
+//!   of component boundaries and expansion order: **bit-identical** to a
+//!   single tree bulk-loaded with the same live set.
+//! * **Refined k-MLIQ / TIQ** keep one `DenomBounds` accumulator. It
+//!   receives exact densities for memtable entries and expanded leaves,
+//!   and per-node remainder terms priced with *asymmetric counts*: the
+//!   upper remainder uses the node's full entry count (valid even when
+//!   newer components shadow some entries), the lower uses the count minus
+//!   the part's total hidden ids (never over-counts what is visible).
+//!   Hidden entries are excluded from the exact accumulator on leaf
+//!   expansion, so the bounds converge to the exact live-set denominator;
+//!   result *membership* and densities match the single tree, while the
+//!   reported probability intervals may differ within the caller's
+//!   accuracy (bounds are exploration-order dependent). With one part and
+//!   nothing hidden both counts are the node's count.
+//! * **Ranking cursors and box queries** filter the memtable exactly and
+//!   skip hidden ids in every part — bit-identical.
+//!
 //! [`ReadView::k_mliq`]: crate::view::ReadView::k_mliq
 //! [`ReadView::k_mliq_refined`]: crate::view::ReadView::k_mliq_refined
 //! [`ReadView::tiq`]: crate::view::ReadView::tiq
 
 use crate::node::CachedNode;
 use crate::tree::TreeError;
-use crate::view::Plane;
+use crate::view::ReadPlane;
 use gauss_storage::store::PageStore;
 use gauss_storage::PageId;
 use pfv::logsum::{log_add_exp, LogSumAcc, ScaledSum};
-use pfv::{batch, Pfv};
-use std::cmp::Ordering;
+use pfv::{batch, combine, Pfv};
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
 /// Result of a plain k-MLIQ: ranked by relative probability.
@@ -73,18 +104,20 @@ pub struct TiqResult {
     pub prob_hi: f64,
 }
 
-/// Priority-queue entry: an active node ordered by its upper bound.
+/// Priority-queue entry: an active node of part `comp`, ordered by its
+/// upper bound.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ActiveNode {
     pub(crate) log_upper: f64,
     pub(crate) log_lower: f64,
     pub(crate) count: u64,
+    pub(crate) comp: usize,
     pub(crate) page: PageId,
 }
 
 impl PartialEq for ActiveNode {
     fn eq(&self, other: &Self) -> bool {
-        self.log_upper == other.log_upper && self.page == other.page
+        self.cmp(other) == Ordering::Equal
     }
 }
 impl Eq for ActiveNode {}
@@ -95,9 +128,10 @@ impl PartialOrd for ActiveNode {
 }
 impl Ord for ActiveNode {
     fn cmp(&self, other: &Self) -> Ordering {
-        // Max-heap on the upper bound; page id only to make Ord total.
+        // Max-heap on the upper bound; part and page only make Ord total.
         self.log_upper
             .total_cmp(&other.log_upper)
+            .then_with(|| self.comp.cmp(&other.comp))
             .then_with(|| self.page.cmp(&other.page))
     }
 }
@@ -154,20 +188,10 @@ impl DenomBounds {
         self.exact.add(log_density);
     }
 
-    pub(crate) fn add_node(&mut self, node: &ActiveNode) {
-        self.add_node_counts(
-            node.log_lower,
-            node.count as f64,
-            node.log_upper,
-            node.count as f64,
-        );
-    }
-
-    /// Like [`DenomBounds::add_node`] but with distinct entry counts for
-    /// the lower and upper remainder terms. The forest query path prices a
-    /// component node with `hi_count` = all stored entries (a correct
-    /// upper bound even when some are shadowed by newer components) and
-    /// `lo_count` = entries guaranteed visible.
+    /// Adds a node's remainder terms with distinct entry counts for the
+    /// lower and upper bound: a node is priced with `hi_count` = all
+    /// stored entries (a correct upper bound even when some are shadowed
+    /// by newer components) and `lo_count` = entries guaranteed visible.
     pub(crate) fn add_node_counts(
         &mut self,
         log_lower: f64,
@@ -182,15 +206,6 @@ impl DenomBounds {
         }
         self.min_rem.add(log_lower, lo_count);
         self.max_rem.add(log_upper, hi_count);
-    }
-
-    pub(crate) fn remove_node(&mut self, node: &ActiveNode) {
-        self.remove_node_counts(
-            node.log_lower,
-            node.count as f64,
-            node.log_upper,
-            node.count as f64,
-        );
     }
 
     /// Inverse of [`DenomBounds::add_node_counts`].
@@ -257,64 +272,33 @@ pub(crate) fn clamped_probs(ld: f64, log_lo: f64, log_hi: f64, log_mid: f64) -> 
     (p, p_lo, p_hi)
 }
 
-impl<S: PageStore> Plane<'_, S> {
+/// The state the denominator-tracking queries (refined k-MLIQ, TIQ)
+/// carry through their loop: the Bayes-denominator bounds, the frontier
+/// of priced nodes, and a scratch buffer for the batched leaf kernel.
+struct DenomWalk {
+    denom: DenomBounds,
+    active: BinaryHeap<ActiveNode>,
+    dens: Vec<f64>,
+}
+
+impl<S: PageStore> ReadPlane<'_, S> {
     /// k-most-likely identification query (§5.2.1, Definition 3) — the
-    /// algorithm behind [`crate::view::ReadView::k_mliq`].
+    /// algorithm behind [`crate::view::ReadView::k_mliq`]: one best-first
+    /// loop over every part's root, with the memtable densities in the
+    /// candidate heap first.
     pub(crate) fn k_mliq(&self, q: &Pfv, k: usize) -> Result<Vec<MliqResult>, TreeError> {
         self.check_dims(q.dims())?;
         if k == 0 || self.is_empty() {
             return Ok(Vec::new());
         }
-        let target = k.min(self.len() as usize);
+        let target = k.min(self.live as usize);
+        let mode = self.config.combine;
         // Min-heap keeping the k best candidates.
-        let mut best: BinaryHeap<std::cmp::Reverse<Candidate>> = BinaryHeap::new();
-        self.k_mliq_scan(q, target, None, &mut best)?;
-
-        let mut out: Vec<MliqResult> = best
-            .into_iter()
-            .map(|std::cmp::Reverse(c)| MliqResult {
-                id: c.id,
-                log_density: c.log_density,
-            })
-            .collect();
-        out.sort_by(|a, b| {
-            b.log_density
-                .total_cmp(&a.log_density)
-                .then_with(|| a.id.cmp(&b.id))
-        });
-        Ok(out)
-    }
-
-    /// The best-first k-MLIQ descent over *this* tree, pushing candidates
-    /// into a caller-owned heap capped at `target`.
-    ///
-    /// `hidden` names entry ids to skip — the forest query path passes the
-    /// ids shadowed by newer components / tombstones; `None` is the plain
-    /// single-tree scan. The heap may arrive pre-populated (memtable
-    /// entries, other components): a fuller heap only tightens the pruning
-    /// bound, and because candidate selection is a pure top-`target` under
-    /// the total `(density, id)` order, the surviving set is independent
-    /// of which component was scanned first.
-    pub(crate) fn k_mliq_scan(
-        &self,
-        q: &Pfv,
-        target: usize,
-        hidden: Option<&std::collections::HashSet<u64>>,
-        best: &mut BinaryHeap<std::cmp::Reverse<Candidate>>,
-    ) -> Result<(), TreeError> {
-        if self.is_empty() {
-            return Ok(());
+        let mut best: BinaryHeap<Reverse<Candidate>> = BinaryHeap::new();
+        for (id, v) in self.mem() {
+            push_candidate(&mut best, target, combine::log_joint(mode, v, q), id);
         }
-        let mode = self.config().combine;
-        let skip = |id: u64| hidden.is_some_and(|h| h.contains(&id));
-
-        let mut active: BinaryHeap<ActiveNode> = BinaryHeap::new();
-        active.push(ActiveNode {
-            log_upper: f64::INFINITY,
-            log_lower: f64::NEG_INFINITY,
-            count: self.len(),
-            page: self.root_page(),
-        });
+        let mut active: BinaryHeap<ActiveNode> = self.roots().collect();
         // Scratch buffers for the batched leaf kernels, reused across leaves.
         let mut dens: Vec<f64> = Vec::new();
         let mut fast = batch::FastScratch::new();
@@ -326,13 +310,14 @@ impl<S: PageStore> Plane<'_, S> {
                 // Strict: a subtree whose upper bound exactly equals the
                 // worst kept density may still hold an equal-density entry
                 // with a smaller id, which wins the (density, id) tie —
-                // pruning on equality would make the result depend on scan
-                // order (and across forest components, on component order).
+                // pruning on equality would make the result depend on
+                // expansion order (and across parts, on part order).
                 if worst > top.log_upper {
                     break;
                 }
             }
-            match &*self.read_node_cached(top.page)? {
+            let part = &self.parts[top.comp];
+            match &*part.plane.read_node_cached(top.page)? {
                 CachedNode::Leaf(leaf) => {
                     if best.len() == target {
                         // Fast tier: the heap is full, so a conservative
@@ -351,22 +336,21 @@ impl<S: PageStore> Plane<'_, S> {
                         }
                         batch::log_densities_upper(mode, q, &leaf.columns, &mut fast);
                         for (e, &id) in leaf.ids.iter().enumerate() {
-                            if fast.upper()[e] < worst || skip(id) {
+                            if fast.upper()[e] < worst || part.hides(id) {
                                 continue;
                             }
                             // Refine tier: exact, bit-identical to the
                             // batched kernel for this entry.
                             let ld = batch::log_density_one(mode, q, &leaf.columns, e);
-                            push_candidate(best, target, ld, id);
+                            push_candidate(&mut best, target, ld, id);
                         }
                     } else {
                         dens.resize(leaf.columns.len(), 0.0);
                         batch::log_densities(mode, q, &leaf.columns, &mut dens);
                         for (&id, &ld) in leaf.ids.iter().zip(dens.iter()) {
-                            if skip(id) {
-                                continue;
+                            if !part.hides(id) {
+                                push_candidate(&mut best, target, ld, id);
                             }
-                            push_candidate(best, target, ld, id);
                         }
                     }
                 }
@@ -387,13 +371,23 @@ impl<S: PageStore> Plane<'_, S> {
                             log_upper: up,
                             log_lower: f64::NEG_INFINITY,
                             count: e.count,
+                            comp: top.comp,
                             page: e.child,
                         });
                     }
                 }
             }
         }
-        Ok(())
+
+        // Ascending `Reverse<Candidate>` is density descending, id ascending.
+        Ok(best
+            .into_sorted_vec()
+            .into_iter()
+            .map(|Reverse(c)| MliqResult {
+                id: c.id,
+                log_density: c.log_density,
+            })
+            .collect())
     }
 
     /// Probability-refined k-MLIQ (§5.2.2) — the algorithm behind
@@ -409,79 +403,38 @@ impl<S: PageStore> Plane<'_, S> {
         if k == 0 || self.is_empty() {
             return Ok(Vec::new());
         }
-        let mode = self.config().combine;
-        let target = k.min(self.len() as usize);
-
-        // Expand the root eagerly so an anchor for the scaled accumulators
-        // is known before anything enters the queue.
-        let root = self.read_node_cached(self.root_page())?;
-        let mut active: BinaryHeap<ActiveNode> = BinaryHeap::new();
-        let mut best: BinaryHeap<std::cmp::Reverse<Candidate>> = BinaryHeap::new();
+        let target = k.min(self.live as usize);
+        let (mut walk, objects) = self.denom_walk(q)?;
+        let mut best: BinaryHeap<Reverse<Candidate>> = BinaryHeap::new();
         let mut best_ld = f64::NEG_INFINITY;
-        // Scratch buffer for the batched leaf kernel, reused across leaves.
-        let mut dens: Vec<f64> = Vec::new();
-
-        let mut denom;
-        match &*root {
-            CachedNode::Leaf(leaf) => {
-                denom = DenomBounds::new(0.0);
-                dens.resize(leaf.columns.len(), 0.0);
-                batch::log_densities(mode, q, &leaf.columns, &mut dens);
-                for (&id, &ld) in leaf.ids.iter().zip(dens.iter()) {
-                    denom.add_object(ld);
-                    push_candidate(&mut best, target, ld, id);
-                    best_ld = best_ld.max(ld);
-                }
-            }
-            CachedNode::Inner(es) => {
-                let children: Vec<ActiveNode> = active_children(es, q, mode);
-                let anchor = children
-                    .iter()
-                    .map(|c| c.log_upper)
-                    .fold(f64::NEG_INFINITY, f64::max);
-                denom = DenomBounds::new(if anchor.is_finite() { anchor } else { 0.0 });
-                for c in children {
-                    denom.add_node(&c);
-                    active.push(c);
-                }
-            }
+        for (id, ld) in objects {
+            push_candidate(&mut best, target, ld, id);
+            best_ld = best_ld.max(ld);
         }
-        drop(root);
 
         loop {
             let settled = best.len() == target
-                && active
+                && walk
+                    .active
                     .peek()
                     // lint: allow(no-panic) -- guarded by best.len() == target > 0 earlier in the condition chain
                     .is_none_or(|t| best.peek().expect("non-empty").0.log_density >= t.log_upper);
-            if settled && denom.prob_width(best_ld) <= accuracy {
+            if settled && walk.denom.prob_width(best_ld) <= accuracy {
                 break;
             }
-            let Some(top) = active.pop() else { break };
-            denom.remove_node(&top);
-            match &*self.read_node_cached(top.page)? {
-                CachedNode::Leaf(leaf) => {
-                    dens.resize(leaf.columns.len(), 0.0);
-                    batch::log_densities(mode, q, &leaf.columns, &mut dens);
-                    for (&id, &ld) in leaf.ids.iter().zip(dens.iter()) {
-                        denom.add_object(ld);
-                        push_candidate(&mut best, target, ld, id);
-                        best_ld = best_ld.max(ld);
-                    }
-                }
-                CachedNode::Inner(es) => {
-                    for child in active_children(es, q, mode) {
-                        denom.add_node(&child);
-                        active.push(child);
-                    }
-                }
-            }
+            let Some(top) = walk.active.pop() else { break };
+            self.expand(&mut walk, &top, q, |_, id, ld| {
+                push_candidate(&mut best, target, ld, id);
+                best_ld = best_ld.max(ld);
+            })?;
         }
 
+        let denom = &walk.denom;
         let (lo, hi, mid) = (denom.log_lo(), denom.log_hi(), denom.log_mid());
-        let mut out: Vec<RefinedResult> = best
+        Ok(best
+            .into_sorted_vec()
             .into_iter()
-            .map(|std::cmp::Reverse(c)| {
+            .map(|Reverse(c)| {
                 let (probability, prob_lo, prob_hi) = clamped_probs(c.log_density, lo, hi, mid);
                 RefinedResult {
                     id: c.id,
@@ -491,13 +444,7 @@ impl<S: PageStore> Plane<'_, S> {
                     prob_hi,
                 }
             })
-            .collect();
-        out.sort_by(|a, b| {
-            b.log_density
-                .total_cmp(&a.log_density)
-                .then_with(|| a.id.cmp(&b.id))
-        });
-        Ok(out)
+            .collect())
     }
 
     /// Threshold identification query (§5.2.3, Figure 5, Definition 2) —
@@ -535,49 +482,19 @@ impl<S: PageStore> Plane<'_, S> {
         if self.is_empty() {
             return Ok(Vec::new());
         }
-        let mode = self.config().combine;
         let ln_theta = p_theta.ln();
-
-        let root = self.read_node_cached(self.root_page())?;
-        let mut active: BinaryHeap<ActiveNode> = BinaryHeap::new();
-        let mut cands: Vec<(u64, f64)> = Vec::new();
-        // Scratch buffer for the batched leaf kernel, reused across leaves.
-        let mut dens: Vec<f64> = Vec::new();
-
-        let mut denom;
-        match &*root {
-            CachedNode::Leaf(leaf) => {
-                denom = DenomBounds::new(0.0);
-                dens.resize(leaf.columns.len(), 0.0);
-                batch::log_densities(mode, q, &leaf.columns, &mut dens);
-                for (&id, &ld) in leaf.ids.iter().zip(dens.iter()) {
-                    denom.add_object(ld);
-                    cands.push((id, ld));
-                }
-            }
-            CachedNode::Inner(es) => {
-                let children: Vec<ActiveNode> = active_children(es, q, mode);
-                let anchor = children
-                    .iter()
-                    .map(|c| c.log_upper)
-                    .fold(f64::NEG_INFINITY, f64::max);
-                denom = DenomBounds::new(if anchor.is_finite() { anchor } else { 0.0 });
-                for c in children {
-                    denom.add_node(&c);
-                    active.push(c);
-                }
-            }
-        }
-        drop(root);
+        let (mut walk, mut cands) = self.denom_walk(q)?;
 
         loop {
+            let denom = &walk.denom;
             let denom_lo = denom.log_lo();
             let denom_hi = denom.log_hi();
             // Figure 5's "delete unnecessary candidates": prune every
             // candidate whose probability upper bound is below the threshold.
             cands.retain(|&(_, ld)| ld - denom_lo >= ln_theta);
 
-            let explore_more = active
+            let explore_more = walk
+                .active
                 .peek()
                 .is_some_and(|t| t.log_upper - denom_lo >= ln_theta);
             let refine_more = match accuracy {
@@ -599,30 +516,17 @@ impl<S: PageStore> Plane<'_, S> {
             if !explore_more && !refine_more {
                 break;
             }
-            let Some(top) = active.pop() else { break };
-            denom.remove_node(&top);
-            match &*self.read_node_cached(top.page)? {
-                CachedNode::Leaf(leaf) => {
-                    dens.resize(leaf.columns.len(), 0.0);
-                    batch::log_densities(mode, q, &leaf.columns, &mut dens);
-                    for (&id, &ld) in leaf.ids.iter().zip(dens.iter()) {
-                        denom.add_object(ld);
-                        // Admit only candidates that could still qualify —
-                        // the retain step above keeps this set tight.
-                        if ld - denom.log_lo() >= ln_theta {
-                            cands.push((id, ld));
-                        }
-                    }
+            let Some(top) = walk.active.pop() else { break };
+            self.expand(&mut walk, &top, q, |denom, id, ld| {
+                // Admit only candidates that could still qualify — the
+                // retain step above keeps this set tight.
+                if ld - denom.log_lo() >= ln_theta {
+                    cands.push((id, ld));
                 }
-                CachedNode::Inner(es) => {
-                    for child in active_children(es, q, mode) {
-                        denom.add_node(&child);
-                        active.push(child);
-                    }
-                }
-            }
+            })?;
         }
 
+        let denom = &walk.denom;
         let (lo, hi, mid) = (denom.log_lo(), denom.log_hi(), denom.log_mid());
         let mut out: Vec<TiqResult> = cands
             .into_iter()
@@ -655,15 +559,120 @@ impl<S: PageStore> Plane<'_, S> {
         });
         Ok(out)
     }
+
+    /// Remainder-term counts `(lo, hi)` of `node`: the upper bound prices
+    /// all stored entries (hidden ones only loosen it upward), the lower
+    /// bound discounts every id the node's part hides (the node cannot
+    /// hide more than the whole part does).
+    fn node_counts(&self, node: &ActiveNode) -> (f64, f64) {
+        let hidden = self.parts[node.comp].hidden.map_or(0, |h| h.len()) as f64;
+        ((node.count as f64 - hidden).max(0.0), node.count as f64)
+    }
+
+    /// The shared prologue of the denominator-tracking loops: evaluates
+    /// the memtable and every part's root eagerly, so an anchor for the
+    /// scaled accumulators is known before anything enters the queue.
+    /// Returns the walk state, with the priced root children queued and
+    /// every exact object found so far in the denominator, and those
+    /// objects `(id, log_density)` (memtable, then root leaves, hidden
+    /// ids excluded).
+    fn denom_walk(&self, q: &Pfv) -> Result<(DenomWalk, Vec<(u64, f64)>), TreeError> {
+        let mode = self.config.combine;
+        let mut dens: Vec<f64> = Vec::new();
+        let mut objects: Vec<(u64, f64)> = self
+            .mem()
+            .map(|(id, v)| (id, combine::log_joint(mode, v, q)))
+            .collect();
+        let mut nodes: Vec<ActiveNode> = Vec::new();
+        for root in self.roots() {
+            let part = &self.parts[root.comp];
+            match &*part.plane.read_node_cached(root.page)? {
+                CachedNode::Leaf(leaf) => {
+                    dens.resize(leaf.columns.len(), 0.0);
+                    batch::log_densities(mode, q, &leaf.columns, &mut dens);
+                    for (&id, &ld) in leaf.ids.iter().zip(dens.iter()) {
+                        if !part.hides(id) {
+                            objects.push((id, ld));
+                        }
+                    }
+                }
+                CachedNode::Inner(es) => nodes.extend(active_children(es, q, mode, root.comp)),
+            }
+        }
+
+        let anchor = nodes
+            .iter()
+            .map(|n| n.log_upper)
+            .chain(objects.iter().map(|&(_, ld)| ld))
+            .fold(f64::NEG_INFINITY, f64::max);
+        let mut denom = DenomBounds::new(if anchor.is_finite() { anchor } else { 0.0 });
+        for &(_, ld) in &objects {
+            denom.add_object(ld);
+        }
+        for n in &nodes {
+            let (lo_n, hi_n) = self.node_counts(n);
+            denom.add_node_counts(n.log_lower, lo_n, n.log_upper, hi_n);
+        }
+        let walk = DenomWalk {
+            denom,
+            active: BinaryHeap::from(nodes),
+            dens,
+        };
+        Ok((walk, objects))
+    }
+
+    /// Expands the popped node `top` of a denominator-tracking loop: its
+    /// remainder terms leave the denominator; a leaf's visible entries
+    /// enter it exactly and are handed to `on_object` (which sees the
+    /// updated bounds); an inner node's children are priced and queued.
+    fn expand(
+        &self,
+        walk: &mut DenomWalk,
+        top: &ActiveNode,
+        q: &Pfv,
+        mut on_object: impl FnMut(&DenomBounds, u64, f64),
+    ) -> Result<(), TreeError> {
+        let mode = self.config.combine;
+        let (lo_n, hi_n) = self.node_counts(top);
+        walk.denom
+            .remove_node_counts(top.log_lower, lo_n, top.log_upper, hi_n);
+        let part = &self.parts[top.comp];
+        match &*part.plane.read_node_cached(top.page)? {
+            CachedNode::Leaf(leaf) => {
+                walk.dens.resize(leaf.columns.len(), 0.0);
+                batch::log_densities(mode, q, &leaf.columns, &mut walk.dens);
+                for (&id, &ld) in leaf.ids.iter().zip(walk.dens.iter()) {
+                    if part.hides(id) {
+                        continue;
+                    }
+                    walk.denom.add_object(ld);
+                    on_object(&walk.denom, id, ld);
+                }
+            }
+            CachedNode::Inner(es) => {
+                for node in active_children(es, q, mode, top.comp) {
+                    let (lo_n, hi_n) = self.node_counts(&node);
+                    walk.denom
+                        .add_node_counts(node.log_lower, lo_n, node.log_upper, hi_n);
+                    walk.active.push(node);
+                }
+            }
+        }
+        Ok(())
+    }
 }
 
-/// Prices every child of an inner node in one fused hull sweep (the same
-/// per-child evaluation as [`children_log_hulls`], without materializing
-/// the intermediate bounds vector) and wraps them as queue entries.
+/// Prices every child of an inner node of part `comp` in one fused hull
+/// sweep (the same per-child evaluation as [`children_log_hulls`], without
+/// materializing the intermediate bounds vector) and wraps them as queue
+/// entries.
+///
+/// [`children_log_hulls`]: crate::node::children_log_hulls
 pub(crate) fn active_children(
     es: &[crate::node::InnerEntry],
     q: &Pfv,
     mode: pfv::CombineMode,
+    comp: usize,
 ) -> Vec<ActiveNode> {
     es.iter()
         .map(|e| {
@@ -672,6 +681,7 @@ pub(crate) fn active_children(
                 log_upper: up,
                 log_lower: lo,
                 count: e.count,
+                comp,
                 page: e.child,
             }
         })
@@ -679,18 +689,18 @@ pub(crate) fn active_children(
 }
 
 pub(crate) fn push_candidate(
-    best: &mut BinaryHeap<std::cmp::Reverse<Candidate>>,
+    best: &mut BinaryHeap<Reverse<Candidate>>,
     target: usize,
     log_density: f64,
     id: u64,
 ) {
     let cand = Candidate { log_density, id };
     if best.len() < target {
-        best.push(std::cmp::Reverse(cand));
+        best.push(Reverse(cand));
     // lint: allow(no-panic) -- the else branch runs only when best.len() >= target > 0
     } else if cand > best.peek().expect("non-empty").0 {
         best.pop();
-        best.push(std::cmp::Reverse(cand));
+        best.push(Reverse(cand));
     }
 }
 
@@ -914,16 +924,10 @@ mod tests {
         // upper remainder can fall below the lower one by floating-point
         // residue; prob_width must clamp instead of going negative.
         let mut denom = DenomBounds::new(0.0);
-        let node = ActiveNode {
-            log_upper: -0.3,
-            log_lower: -0.7,
-            count: 7,
-            page: PageId(1),
-        };
         denom.add_object(-0.1);
         for _ in 0..1000 {
-            denom.add_node(&node);
-            denom.remove_node(&node);
+            denom.add_node_counts(-0.7, 7.0, -0.3, 7.0);
+            denom.remove_node_counts(-0.7, 7.0, -0.3, 7.0);
         }
         let w = denom.prob_width(-0.1);
         assert!(w >= 0.0, "width {w} must be clamped at zero");

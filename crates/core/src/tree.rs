@@ -401,9 +401,9 @@ impl<S: PageStore> Snapshot<S> {
             .map(|(errs, _)| errs)
     }
 
-    /// The raw single-tree read-plane of this pinned epoch — for the
-    /// in-crate algorithms (structure checks, forest fan-out) that need
-    /// a [`Plane`] rather than the [`ReadView`] dispatch enum.
+    /// The page handle of this pinned epoch — for structure checks and
+    /// for the forest, whose read-plane holds one such part per
+    /// component.
     pub(crate) fn tree_plane(&self) -> Plane<'_, S> {
         Plane {
             pool: &self.pool,
@@ -443,8 +443,8 @@ impl<S: PageStore> Drop for Snapshot<S> {
 }
 
 impl<S: PageStore> ReadView<S> for Snapshot<S> {
-    fn plane(&self) -> crate::view::ViewPlane<'_, S> {
-        crate::view::ViewPlane::Tree(self.tree_plane())
+    fn plane(&self) -> crate::view::ReadPlane<'_, S> {
+        crate::view::ReadPlane::tree(self.tree_plane())
     }
 }
 

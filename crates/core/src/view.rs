@@ -1,43 +1,49 @@
-//! The shared read-plane: one implementation of every read-only tree
-//! operation, consumed through the [`ReadView`] trait by both the writer
-//! handle ([`GaussTree`], which reads its *working* state) and the pinned
+//! The shared read-plane: one implementation of every read-only query,
+//! consumed through the [`ReadView`] trait by the writer handle
+//! ([`GaussTree`], which reads its *working* state), the pinned
 //! [`Snapshot`](crate::tree::Snapshot) view (which reads a *committed*
-//! epoch).
+//! epoch) and the [`ForestSnapshot`] (which reads a committed forest
+//! manifest).
 //!
-//! The paper's query algorithms (§5.2) only ever need five things: the
-//! tree configuration, the root page, the height, the length, and a way to
-//! read node pages. `Plane` packages exactly that, so the k-MLIQ / TIQ /
-//! cursor / box-query / traversal / structural-check code exists once —
-//! `query.rs`, `cursor.rs`, `interval.rs` and `check.rs` all implement
-//! against `Plane` — and every public entry point is a provided method of
-//! [`ReadView`]. Callers learn one new concept
+//! Two types carry a view into the algorithms:
+//!
+//! * `Plane` is the page handle of one tree state: the configuration, the
+//!   root page, the height, the length, and a way to read node pages
+//!   (raw, or decoded through the shared node cache);
+//! * `ReadPlane` is what every query runs on: a live memtable image plus
+//!   a list of parts, each a `Plane` with the ids it hides. A single tree
+//!   is a forest with one part, no memtable and nothing hidden.
+//!
+//! So the k-MLIQ / TIQ / cursor / box-query / traversal code exists once —
+//! `query.rs`, `cursor.rs` and `interval.rs` implement against
+//! `ReadPlane`, `check.rs` against `Plane` — and every public entry
+//! point is a provided method of [`ReadView`]. Callers learn one concept
 //! ([`GaussTree::snapshot`](crate::tree::GaussTree::snapshot)) and keep
 //! calling the same query methods on whichever view they hold.
 
 use crate::config::TreeConfig;
 use crate::cursor::RankingCursor;
 use crate::executor::BatchExecutor;
-use crate::forest::query::ForestPlane;
+use crate::forest::memtable::Records;
 use crate::forest::ForestSnapshot;
 use crate::interval::BoxQueryResult;
 use crate::node::{CachedNode, Node};
-use crate::query::{MliqResult, RefinedResult, TiqResult};
+use crate::query::{ActiveNode, MliqResult, RefinedResult, TiqResult};
 use crate::tree::{GaussTree, TreeError};
 use gauss_storage::store::PageStore;
 use gauss_storage::{PageId, SharedBufferPool, SideCache};
 use pfv::Pfv;
+use std::collections::HashSet;
 use std::sync::Arc;
 
 /// A borrowed, read-only view of one tree state (root + height + length +
-/// page access) — the substrate every query algorithm runs against.
+/// page access) — one part of a `ReadPlane`.
 ///
-/// Obtained through [`ReadView::plane`]; not constructed directly. All
-/// fields borrow from the owning [`GaussTree`] or
+/// All fields borrow from the owning [`GaussTree`] or
 /// [`Snapshot`](crate::tree::Snapshot), so a `Plane` is a cheap `Copy`
 /// token, not a pinned state by itself.
-#[doc(hidden)]
 #[derive(Debug)]
-pub struct Plane<'a, S: PageStore> {
+pub(crate) struct Plane<'a, S: PageStore> {
     pub(crate) pool: &'a SharedBufferPool<S>,
     pub(crate) node_cache: &'a SideCache<CachedNode>,
     pub(crate) config: &'a TreeConfig,
@@ -58,14 +64,6 @@ impl<S: PageStore> Clone for Plane<'_, S> {
 impl<S: PageStore> Copy for Plane<'_, S> {}
 
 impl<'a, S: PageStore> Plane<'a, S> {
-    pub(crate) fn config(&self) -> &'a TreeConfig {
-        self.config
-    }
-
-    pub(crate) fn dims(&self) -> usize {
-        self.config.dims
-    }
-
     pub(crate) fn len(&self) -> u64 {
         self.len
     }
@@ -124,16 +122,6 @@ impl<'a, S: PageStore> Plane<'a, S> {
         Ok(cached)
     }
 
-    pub(crate) fn check_dims(&self, got: usize) -> Result<(), TreeError> {
-        if got != self.dims() {
-            return Err(TreeError::DimMismatch {
-                expected: self.dims(),
-                got,
-            });
-        }
-        Ok(())
-    }
-
     /// Visits every stored `(id, pfv)` pair (in tree order).
     pub(crate) fn for_each_entry(&self, mut f: impl FnMut(u64, &Pfv)) -> Result<(), TreeError> {
         let mut stack = vec![(self.root, self.height)];
@@ -158,96 +146,104 @@ impl<'a, S: PageStore> Plane<'a, S> {
     }
 }
 
-/// The read-plane behind any [`ReadView`]: either one tree state or a
-/// whole forest snapshot (memtable + components). Every provided query
-/// method dispatches through this enum, so the single-tree algorithms in
-/// `query.rs` / `cursor.rs` / `interval.rs` stay untouched and the
-/// forest fan-out lives in [`crate::forest::query`].
-#[doc(hidden)]
-pub enum ViewPlane<'a, S: PageStore> {
-    /// One tree state (working state or pinned snapshot).
-    Tree(Plane<'a, S>),
-    /// A pinned forest manifest: memtable image + component snapshots.
-    Forest(ForestPlane<'a, S>),
+/// One tree of a `ReadPlane`: its page handle plus the ids it must not
+/// report — entries shadowed by newer forest components or tombstones
+/// (`None` when nothing is hidden, as for every single tree).
+pub(crate) struct Part<'a, S: PageStore> {
+    pub(crate) plane: Plane<'a, S>,
+    pub(crate) hidden: Option<&'a HashSet<u64>>,
 }
 
-impl<S: PageStore> Clone for ViewPlane<'_, S> {
-    fn clone(&self) -> Self {
-        *self
+impl<S: PageStore> Part<'_, S> {
+    /// Whether this part must skip entry `id`.
+    pub(crate) fn hides(&self, id: u64) -> bool {
+        self.hidden.is_some_and(|h| h.contains(&id))
     }
 }
-impl<S: PageStore> Copy for ViewPlane<'_, S> {}
 
-impl<'a, S: PageStore> ViewPlane<'a, S> {
-    pub(crate) fn config(&self) -> &'a TreeConfig {
-        match self {
-            ViewPlane::Tree(p) => p.config(),
-            ViewPlane::Forest(p) => p.config(),
+/// The read-plane behind every [`ReadView`]: a live memtable image plus
+/// a list of trees, each with the ids it hides. A [`GaussTree`] or a
+/// [`Snapshot`](crate::tree::Snapshot) is the one-part case — no
+/// memtable and nothing hidden — and a [`ForestSnapshot`] contributes
+/// one part per pinned component, newest first. Every query algorithm
+/// runs once against this shape (see [`crate::query`]).
+#[doc(hidden)]
+pub struct ReadPlane<'a, S: PageStore> {
+    pub(crate) config: &'a TreeConfig,
+    /// Live objects visible through the plane.
+    pub(crate) live: u64,
+    /// Memtable records (tombstones included), ascending id; `None` for
+    /// a single tree.
+    pub(crate) mem: Option<&'a Records>,
+    pub(crate) parts: Vec<Part<'a, S>>,
+}
+
+impl<'a, S: PageStore> ReadPlane<'a, S> {
+    /// The one-part plane of a single tree state.
+    pub(crate) fn tree(plane: Plane<'a, S>) -> Self {
+        Self {
+            config: plane.config,
+            live: plane.len,
+            mem: None,
+            parts: vec![Part {
+                plane,
+                hidden: None,
+            }],
         }
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.live == 0
+    }
+
+    /// Live memtable entries, ascending id.
+    pub(crate) fn mem(&self) -> impl Iterator<Item = (u64, &'a Pfv)> {
+        self.mem
+            .into_iter()
+            .flatten()
+            .filter_map(|(id, v)| v.as_ref().map(|v| (*id, v)))
+    }
+
+    /// The frontier seed of every best-first walk: each non-empty
+    /// part's root, tagged with its part index and bounded by +∞.
+    pub(crate) fn roots(&self) -> impl Iterator<Item = ActiveNode> + '_ {
+        self.parts
+            .iter()
+            .enumerate()
+            .filter(|(_, p)| !p.plane.is_empty())
+            .map(|(comp, p)| ActiveNode {
+                log_upper: f64::INFINITY,
+                log_lower: f64::NEG_INFINITY,
+                count: p.plane.len(),
+                comp,
+                page: p.plane.root_page(),
+            })
     }
 
     pub(crate) fn check_dims(&self, got: usize) -> Result<(), TreeError> {
-        match self {
-            ViewPlane::Tree(p) => p.check_dims(got),
-            ViewPlane::Forest(p) => p.check_dims(got),
+        if got != self.config.dims {
+            return Err(TreeError::DimMismatch {
+                expected: self.config.dims,
+                got,
+            });
         }
+        Ok(())
     }
 
-    pub(crate) fn k_mliq(&self, q: &Pfv, k: usize) -> Result<Vec<MliqResult>, TreeError> {
-        match self {
-            ViewPlane::Tree(p) => p.k_mliq(q, k),
-            ViewPlane::Forest(p) => p.k_mliq(q, k),
+    /// Visits every live entry: memtable first (ascending id), then each
+    /// part in tree order, hidden ids skipped.
+    pub(crate) fn for_each_entry(&self, mut f: impl FnMut(u64, &Pfv)) -> Result<(), TreeError> {
+        for (id, v) in self.mem() {
+            f(id, v);
         }
-    }
-
-    pub(crate) fn k_mliq_refined(
-        &self,
-        q: &Pfv,
-        k: usize,
-        accuracy: f64,
-    ) -> Result<Vec<RefinedResult>, TreeError> {
-        match self {
-            ViewPlane::Tree(p) => p.k_mliq_refined(q, k, accuracy),
-            ViewPlane::Forest(p) => p.k_mliq_refined(q, k, accuracy),
+        for part in &self.parts {
+            part.plane.for_each_entry(|id, v| {
+                if !part.hides(id) {
+                    f(id, v);
+                }
+            })?;
         }
-    }
-
-    pub(crate) fn tiq(
-        &self,
-        q: &Pfv,
-        p_theta: f64,
-        accuracy: f64,
-    ) -> Result<Vec<TiqResult>, TreeError> {
-        match self {
-            ViewPlane::Tree(p) => p.tiq(q, p_theta, accuracy),
-            ViewPlane::Forest(p) => p.tiq(q, p_theta, accuracy),
-        }
-    }
-
-    pub(crate) fn tiq_anytime(&self, q: &Pfv, p_theta: f64) -> Result<Vec<TiqResult>, TreeError> {
-        match self {
-            ViewPlane::Tree(p) => p.tiq_anytime(q, p_theta),
-            ViewPlane::Forest(p) => p.tiq_anytime(q, p_theta),
-        }
-    }
-
-    pub(crate) fn probabilistic_box_query(
-        &self,
-        lo: &[f64],
-        hi: &[f64],
-        tau: f64,
-    ) -> Result<Vec<BoxQueryResult>, TreeError> {
-        match self {
-            ViewPlane::Tree(p) => p.probabilistic_box_query(lo, hi, tau),
-            ViewPlane::Forest(p) => p.probabilistic_box_query(lo, hi, tau),
-        }
-    }
-
-    pub(crate) fn for_each_entry(&self, f: impl FnMut(u64, &Pfv)) -> Result<(), TreeError> {
-        match self {
-            ViewPlane::Tree(p) => p.for_each_entry(f),
-            ViewPlane::Forest(p) => p.for_each_entry(f),
-        }
+        Ok(())
     }
 }
 
@@ -265,7 +261,7 @@ pub trait ReadView<S: PageStore> {
     /// The raw read-plane this view exposes. Implementation detail —
     /// call the query methods instead.
     #[doc(hidden)]
-    fn plane(&self) -> ViewPlane<'_, S>;
+    fn plane(&self) -> ReadPlane<'_, S>;
 
     /// k-most-likely identification query (paper §5.2.1, Definition 3).
     ///
@@ -380,13 +376,25 @@ pub trait ReadView<S: PageStore> {
 }
 
 impl<S: PageStore> ReadView<S> for GaussTree<S> {
-    fn plane(&self) -> ViewPlane<'_, S> {
-        ViewPlane::Tree(self.working_plane())
+    fn plane(&self) -> ReadPlane<'_, S> {
+        ReadPlane::tree(self.working_plane())
     }
 }
 
 impl<S: PageStore> ReadView<S> for ForestSnapshot<S> {
-    fn plane(&self) -> ViewPlane<'_, S> {
-        ViewPlane::Forest(ForestPlane { snap: self })
+    fn plane(&self) -> ReadPlane<'_, S> {
+        ReadPlane {
+            config: &self.config,
+            live: self.live,
+            mem: Some(&*self.mem),
+            parts: self
+                .comps
+                .iter()
+                .map(|c| Part {
+                    plane: c.snap.tree_plane(),
+                    hidden: (!c.hidden.is_empty()).then_some(&*c.hidden),
+                })
+                .collect(),
+        }
     }
 }

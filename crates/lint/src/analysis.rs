@@ -367,7 +367,7 @@ fn query_path_module(file: &SourceFile) -> bool {
     file.crate_name == "core"
         && matches!(
             file.rel_path.rsplit('/').next(),
-            Some("query.rs" | "cursor.rs" | "executor.rs")
+            Some("query.rs" | "cursor.rs" | "executor.rs" | "view.rs" | "interval.rs")
         )
 }
 
@@ -1416,9 +1416,8 @@ impl Pool {\n\
         assert!(all.iter().all(|f| f.rule != GUARD_ACROSS_CALL), "{all:?}");
     }
 
-    #[test]
-    fn guard_across_io_on_query_path() {
-        let src = "\
+    /// A guard held across a page read (line 5).
+    const GUARD_ACROSS_READ: &str = "\
 use gauss_storage::sync::{LockRank, TrackedMutex};\n\
 pub fn scan(pool: &P) -> u32 {\n\
     let cache = TrackedMutex::new(0u32, LockRank::ResultSlot, 0, \"q\");\n\
@@ -1426,6 +1425,10 @@ pub fn scan(pool: &P) -> u32 {\n\
     let v = pool.read_page(7);\n\
     *slot + v\n\
 }\n";
+
+    #[test]
+    fn guard_across_io_on_query_path() {
+        let src = GUARD_ACROSS_READ;
         let f = facts_for("crates/core/src/query.rs", src);
         let gac: Vec<_> = f
             .local
@@ -1437,6 +1440,22 @@ pub fn scan(pool: &P) -> u32 {\n\
         // Same code outside the query path is not flagged locally.
         let f = facts_for("crates/core/src/node.rs", src);
         assert!(f.local.iter().all(|f| f.rule != GUARD_ACROSS_CALL));
+    }
+
+    #[test]
+    fn guard_across_io_in_read_plane_modules() {
+        // The read-plane (node-cache reads) and the box-query descent are
+        // on the query path too.
+        for path in ["crates/core/src/view.rs", "crates/core/src/interval.rs"] {
+            let f = facts_for(path, GUARD_ACROSS_READ);
+            let lines: Vec<_> = f
+                .local
+                .iter()
+                .filter(|f| f.rule == GUARD_ACROSS_CALL)
+                .map(|f| f.line)
+                .collect();
+            assert_eq!(lines, [5], "{path}: {:?}", f.local);
+        }
     }
 
     #[test]

@@ -8,6 +8,10 @@
 //!
 //! * k-MLIQ (and the streaming ranking cursor) are asserted
 //!   **bit-identical**: same ids, same order, same `log_density` bits;
+//! * box queries are asserted **bit-identical** (ids, order, probability
+//!   bits);
+//! * refined k-MLIQ ids, order and `log_density` bits are asserted
+//!   identical, with probabilities agreeing within the requested accuracy;
 //! * TIQ id sets are asserted identical, with per-id probabilities agreeing
 //!   to well under the query accuracy (the interval *bounds* may close in
 //!   different exploration orders across component forests, so only the
@@ -125,6 +129,47 @@ fn check_equivalence(ops: &[Op], dims: usize, format: LeafFormat, queries: &[Pfv
         }
         let ref_ids: Vec<u64> = b.iter().map(|h| h.id).collect();
         assert_eq!(cursor_ids, ref_ids, "ranking cursor diverged");
+
+        // Refined k-MLIQ: ids, order and densities bit-identical; the
+        // probabilities agree within the accuracy both sides refined to.
+        let accuracy = 1e-7;
+        let ra = snap.k_mliq_refined(q, k, accuracy).expect("forest refined");
+        let rb = reference
+            .k_mliq_refined(q, k, accuracy)
+            .expect("reference refined");
+        let key = |r: &[gausstree::tree::RefinedResult]| -> Vec<(u64, u64)> {
+            r.iter().map(|h| (h.id, h.log_density.to_bits())).collect()
+        };
+        assert_eq!(key(&ra), key(&rb), "refined k-MLIQ diverged");
+        for (x, y) in ra.iter().zip(&rb) {
+            for h in [x, y] {
+                assert!(
+                    h.prob_lo <= h.probability && h.probability <= h.prob_hi,
+                    "unordered probability bounds: {h:?}"
+                );
+            }
+            assert!(
+                (x.probability - y.probability).abs() <= accuracy,
+                "refined probability diverged for id {}: {x:?} vs {y:?}",
+                x.id
+            );
+        }
+
+        // Box query around the query mean: bit-identical answers.
+        let lo: Vec<f64> = q.means().iter().map(|m| m - 3.0).collect();
+        let hi: Vec<f64> = q.means().iter().map(|m| m + 3.0).collect();
+        let bits = |r: &[gausstree::tree::BoxQueryResult]| -> Vec<(u64, u64)> {
+            r.iter().map(|h| (h.id, h.probability.to_bits())).collect()
+        };
+        for tau in [0.01, 0.5] {
+            let ba = snap
+                .probabilistic_box_query(&lo, &hi, tau)
+                .expect("forest box query");
+            let bb = reference
+                .probabilistic_box_query(&lo, &hi, tau)
+                .expect("reference box query");
+            assert_eq!(bits(&ba), bits(&bb), "box query diverged (tau {tau})");
+        }
 
         // TIQ: identical id sets; probabilities equal to far tighter than
         // the accuracy both sides refined to.
