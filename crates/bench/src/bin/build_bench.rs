@@ -70,8 +70,9 @@ fn build(
 }
 
 /// The durability datapoint: the same workload built into a real file
-/// under `Durability::None` vs `Durability::Fsync`, so the fsync cost of
-/// the crash-safe commit protocol is tracked next to the fast path.
+/// under `Durability::None` vs `Durability::Fsync`. Both builds take the
+/// same shadow-paged write path, so the pair prices the commit barriers
+/// alone.
 /// Returns `(none objs/s, fsync objs/s, fsync count)` (best of `rounds`).
 fn durability_datapoint(items: &[(u64, Pfv)], dims: usize, rounds: usize) -> (f64, f64, u64) {
     let dir = std::env::temp_dir().join(format!("gauss-build-dur-{}", std::process::id()));

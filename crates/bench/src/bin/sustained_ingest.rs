@@ -4,8 +4,9 @@
 //! drifting-sensor stream (upserts, fresh sensors and deletes from
 //! [`gauss_workloads::drift`]) is applied twice, file-backed both times:
 //!
-//! * **single tree**: the paper's index mutated in place — an upsert is a
-//!   read-modify-write (`delete` of the old parameters + `insert`), with
+//! * **single tree**: the paper's index mutated directly (shadow-paged,
+//!   like every `GaussTree` mutation) — an upsert is a read-modify-write
+//!   (`delete` of the old parameters + `insert`), with
 //!   a `flush` commit every `--memtable` operations so both sides pay the
 //!   same commit cadence;
 //! * **forest**: the same ops through [`GaussForest`]'s memtable/flush
@@ -101,7 +102,7 @@ fn main() {
         .collect();
     println!("sustained_ingest: {events} events, {dims} dims, memtable {memtable}");
 
-    // --- single tree: in-place read-modify-write ingest -----------------
+    // --- single tree: read-modify-write ingest --------------------------
     let tree_dir = TempDir::new("tree");
     let store = FileStore::create(tree_dir.0.join("single.gtree"), DEFAULT_PAGE_SIZE)
         .expect("create single-tree file");

@@ -402,14 +402,9 @@ fn info(args: &Args) -> Result<(), ArgError> {
         let (tree, report) = GaussTree::open_with_recovery(pool)
             .map_err(|e| ArgError(format!("cannot recover index: {e}")))?;
         println!(
-            "recovery:       epoch {}{}{}, {} orphaned pages reclaimed",
+            "recovery:       epoch {}{}, {} orphaned pages reclaimed",
             report.epoch,
             if report.fell_back { " (fell back)" } else { "" },
-            if report.legacy {
-                " (legacy format)"
-            } else {
-                ""
-            },
             report.orphaned_pages
         );
         tree

@@ -110,10 +110,10 @@ pub struct BulkLoadOptions {
     pub batched_writes: bool,
     /// Spill backend used when the budget overflows.
     pub spill: SpillKind,
-    /// Crash-safety policy of the produced tree (see
-    /// [`crate::tree::TreeOptions::durability`]). Under `Flush`/`Fsync` a crash
-    /// mid-load recovers to the committed empty tree; the final flush
-    /// commits the loaded tree atomically.
+    /// The barrier the produced tree's commits issue (see
+    /// [`crate::tree::TreeOptions::durability`]). The load never overwrites
+    /// the committed empty tree, so a crash mid-load recovers to it; the
+    /// final flush commits the loaded tree atomically.
     pub durability: Durability,
 }
 
@@ -305,20 +305,14 @@ pub(crate) fn run<S: PageStore>(
     report.total_entries = total;
     tree.set_len(total);
 
-    // Stage 2+3: leaf level. Group 0 reuses the root page created by
-    // `create()` — except under shadow paging, where that page belongs to
-    // the committed empty tree and must survive a crash mid-load, so a
-    // fresh page is used and the old root deferred to the free list. The
-    // rest of the level is allocated in one consecutive run up front, so
-    // page ids do not depend on write order.
-    let first_page = if tree.is_shadowing() {
-        let old_root = tree.root_page();
-        let fresh = tree.alloc_page()?;
-        tree.free_page(old_root)?;
-        fresh
-    } else {
-        tree.root_page()
-    };
+    // Stage 2+3: leaf level. The root page created by `create()` belongs
+    // to the committed empty tree and must survive a crash mid-load, so
+    // group 0 takes a fresh page and the old root is deferred to the free
+    // list. The rest of the level is allocated in one consecutive run up
+    // front, so page ids do not depend on write order.
+    let old_root = tree.root_page();
+    let first_page = tree.alloc_page()?;
+    tree.free_page(old_root)?;
     // lint: allow(no-panic) -- u64 entry count to usize; the documented assumption is a 64-bit build
     let n = usize::try_from(total).expect("entry count fits usize");
     let n_groups = n.div_ceil(leaf_target);

@@ -13,7 +13,7 @@
 //! fill, which still satisfies the bounds for the default capacities.
 
 use crate::node::Node;
-use crate::tree::{GaussTree, TreeError};
+use crate::tree::{GaussTree, TreeError, META_PAGES};
 use crate::view::Plane;
 use gauss_storage::store::PageStore;
 use gauss_storage::PageId;
@@ -83,8 +83,7 @@ pub enum InvariantError {
         reachable: u64,
         /// Pages parked on the free list.
         freed: u64,
-        /// Pages owned by the tree's metadata (1 legacy slot or 2
-        /// versioned slots).
+        /// Pages owned by the tree's metadata (its two meta slots).
         meta: u64,
     },
     /// A page on the free list is still reachable from the root (a reuse
@@ -193,7 +192,7 @@ impl<S: PageStore> GaussTree<S> {
                 errors.push(InvariantError::FreedPageReachable { page: p.index() });
             }
         }
-        let meta = self.meta_page_count();
+        let meta = META_PAGES;
         let allocated = self.pool().num_pages();
         let accounted = meta + reachable_set.len() as u64 + freed.len() as u64;
         if accounted != allocated {

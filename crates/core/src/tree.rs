@@ -14,37 +14,31 @@ use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 const META_MAGIC: u32 = 0x4754_5245; // "GTRE"
-/// Current metadata format: two versioned, checksummed slots (pages 0–1)
-/// committed alternately — see the `flush` docs for the protocol. v3 adds
-/// the leaf-format tag byte to the v2 layout; everything else is
-/// identical.
+/// The one metadata format: two versioned, checksummed slots (pages 0–1)
+/// committed alternately — see the `flush` docs for the protocol. Files of
+/// any other version (the single-slot v1 and the v2 layout without the
+/// leaf-format byte) are rejected as [`TreeError::NotAGaussTree`].
 const META_VERSION: u32 = 3;
-/// The dual-slot format without the leaf-format byte; still readable
-/// (such trees are [`LeafFormat::Exact`]), rewritten as v3 on commit.
-const META_VERSION_V2: u32 = 2;
-/// The pre-durability single-slot format; still readable (and writable,
-/// in place) for files created before the dual-slot commit existed.
-const META_VERSION_V1: u32 = 1;
 
-/// The two metadata slots of a v2 tree.
+/// The two metadata slots.
 const META_SLOT_A: PageId = PageId(0);
 const META_SLOT_B: PageId = PageId(1);
+
+/// Pages owned by the metadata (the two slots).
+pub(crate) const META_PAGES: u64 = 2;
 
 /// Fill factor applied by the bulk loader so bulk-built nodes can absorb a
 /// few inserts before splitting.
 const BULK_FILL: f64 = 0.75;
 
-/// Base metadata bytes in a v3 meta slot before the persisted free-list
-/// ids: magic + version + checksum + epoch + allocated-page count, the
-/// fixed tree fields (including the leaf-format byte added in v3), the
-/// in-meta id count (u32) and the overflow chain pointer (u64).
+/// Base metadata bytes in a meta slot before the persisted free-list ids:
+/// magic + version + checksum + epoch + allocated-page count, the fixed
+/// tree fields (including the leaf-format byte), the in-meta id count
+/// (u32) and the overflow chain pointer (u64).
 const META_BASE_BYTES: usize = 4 + 4 + 8 + 8 + 8 + 4 + 1 + 1 + 1 + 4 + 4 + 8 + 4 + 8 + 4 + 8;
 
-/// Byte offset of the checksum field inside a v2 meta slot.
+/// Byte offset of the checksum field inside a meta slot.
 const META_CHECKSUM_OFFSET: usize = 8;
-
-/// v1 equivalent of [`META_BASE_BYTES`] (no checksum/epoch/allocation).
-const META_BASE_BYTES_V1: usize = 4 + 4 + 4 + 1 + 1 + 4 + 4 + 8 + 4 + 8 + 4 + 8;
 
 /// Bytes of a free-list overflow carrier page consumed by its header
 /// (next-pointer u64 + id count u32).
@@ -86,11 +80,6 @@ pub enum TreeError {
         /// The unquantisable value.
         value: f64,
     },
-    /// No committed epoch is available to pin as a [`Snapshot`] — either
-    /// the file uses the legacy v1 format (no epochs), or uncommitted
-    /// in-place writes have diverged the store from the last commit (call
-    /// [`GaussTree::flush`] first).
-    SnapshotUnavailable(&'static str),
 }
 
 impl std::fmt::Display for TreeError {
@@ -112,9 +101,6 @@ impl std::fmt::Display for TreeError {
                     f,
                     "value {value:e} in dimension {dim} does not fit the quantised leaf format"
                 )
-            }
-            TreeError::SnapshotUnavailable(why) => {
-                write!(f, "no committed epoch to snapshot: {why}")
             }
         }
     }
@@ -145,10 +131,16 @@ impl From<NodeCodecError> for TreeError {
 /// Constructors accept anything convertible into a [`SharedBufferPool`] —
 /// in particular a plain [`gauss_storage::BufferPool`].
 ///
-/// [`GaussTree::snapshot`] additionally pins the last *committed* epoch
-/// as an owning [`Snapshot`] view: queries on it run lock-free against
-/// that frozen state while this handle keeps shadow-building the next
-/// epoch (MVCC — see the [`Snapshot`] docs for the protocol).
+/// Every mutation shadow-pages: a page the last committed epoch
+/// references is never overwritten, only copied to a fresh page whose
+/// parent is re-pointed, and the superseded page is freed at the next
+/// commit. The working state is therefore always one [`GaussTree::flush`]
+/// away from a new epoch, and the committed one stays intact for a crash
+/// fallback and for [`GaussTree::snapshot`], which pins it as an owning
+/// [`Snapshot`] view: queries on it run lock-free against that frozen
+/// state while this handle keeps building the next epoch (MVCC — see the
+/// [`Snapshot`] docs for the protocol). [`Durability`] chooses only which
+/// barrier a commit issues.
 ///
 /// See the [crate docs](crate) for an overview and an example.
 #[derive(Debug)]
@@ -164,20 +156,15 @@ pub struct GaussTree<S: PageStore> {
     /// them, so cached decodes stay valid across epochs.
     node_cache: Arc<SideCache<CachedNode>>,
     /// Epoch pin counts of live [`Snapshot`]s (shared with every snapshot
-    /// handed out). Gates page reclamation ([`GaussTree::free_aging`])
-    /// and forces shadow paging while pins exist.
+    /// handed out). Gates page reclamation ([`GaussTree::free_aging`]).
     registry: Arc<EpochRegistry>,
     config: TreeConfig,
     leaf_cap: usize,
     inner_cap: usize,
-    /// On-disk metadata layout this tree was opened with (see `flush`).
-    format: MetaFormat,
-    /// Crash-safety policy. [`Durability::None`] keeps the fast legacy
-    /// write path (in-place node updates, no barriers); `Flush`/`Fsync`
-    /// switch mutation to shadow paging so the last committed epoch is
-    /// never overwritten, and order data barriers before meta commits.
+    /// The barrier each commit issues, before and after its meta-slot
+    /// write: none, an OS flush, or an fsync (see `flush`).
     durability: Durability,
-    /// Last committed epoch (v2 format; 0 before the first commit).
+    /// Last committed epoch (0 before the first commit).
     epoch: u64,
     root: PageId,
     height: u32,
@@ -186,14 +173,13 @@ pub struct GaussTree<S: PageStore> {
     /// never belonged to a committed tree). Allocation pops from here
     /// before extending the store, so the store never accumulates
     /// unreachable pages — [`GaussTree::check_invariants`] asserts exactly
-    /// that. Under shadow paging these are the only reusable pages: a
-    /// crash rolls back to the committed epoch, which does not reference
-    /// them.
+    /// that. These are the only reusable pages: a crash rolls back to the
+    /// committed epoch, which does not reference them.
     free_committed: Vec<PageId>,
     /// Pages freed during the current epoch that the committed tree still
-    /// references (shadow paging parks them here). Reusing one before the
-    /// next commit would corrupt the crash-fallback state; the next
-    /// successful `flush` promotes them to `free_committed`.
+    /// references. Reusing one before the next commit would corrupt the
+    /// crash-fallback state; the next successful `flush` promotes them to
+    /// `free_committed`.
     free_pending: Vec<PageId>,
     /// Free pages currently serving as the committed meta slot's free-list
     /// overflow chain. Free for accounting purposes, but not reusable
@@ -203,21 +189,16 @@ pub struct GaussTree<S: PageStore> {
     /// double-free guard ([`TreeError::DoubleFree`]).
     free_set: HashSet<u64>,
     /// Pages written since the last commit that the committed tree does
-    /// not reference; shadow paging may update them in place.
+    /// not reference — the only pages mutation updates in place.
     shadowed: HashSet<u64>,
     /// Root page as of the last committed epoch — what
     /// [`GaussTree::snapshot`] pins while the working `root`/`height`/`len`
-    /// fields run ahead under shadow paging.
+    /// fields run ahead.
     committed_root: PageId,
     /// Height as of the last committed epoch.
     committed_height: u32,
     /// Entry count as of the last committed epoch.
     committed_len: u64,
-    /// Whether an in-place write has diverged the store from the last
-    /// committed epoch (legacy-speed mutation under [`Durability::None`]
-    /// with no live snapshots). While set, [`GaussTree::snapshot`] refuses
-    /// to pin the stale committed root.
-    dirty_since_commit: bool,
     /// Commit-promoted frees still gated by live snapshots: each entry
     /// holds the pages whose free was committed at the tagged epoch,
     /// reusable only once no snapshot pins an *older* epoch. Kept in
@@ -225,22 +206,10 @@ pub struct GaussTree<S: PageStore> {
     free_aging: VecDeque<(u64, Vec<PageId>)>,
 }
 
-/// On-disk metadata layout of an opened tree.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum MetaFormat {
-    /// Single meta page at page 0, no epoch/checksum. Files from before
-    /// the dual-slot commit open (and keep flushing) in this format —
-    /// page 1 holds a node in those files, so the second slot can never
-    /// be claimed in place. Rebuild to upgrade.
-    V1,
-    /// Dual-slot versioned commit (pages 0–1).
-    V2,
-}
-
 /// What [`GaussTree::open_with_recovery`] found and decided.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
-    /// Epoch of the slot the tree was opened from (0 for legacy files).
+    /// Epoch of the slot the tree was opened from.
     pub epoch: u64,
     /// Whether the newest slot was rejected (torn/corrupt/invariant
     /// failure) and an older epoch was used instead.
@@ -248,13 +217,11 @@ pub struct RecoveryReport {
     /// Pages allocated after the chosen epoch's commit (an interrupted
     /// mutation's shadow pages), reclaimed onto the free list.
     pub orphaned_pages: u64,
-    /// Whether the file uses the legacy single-slot format.
-    pub legacy: bool,
 }
 
 /// Builder-style construction options for [`GaussTree::create_with`],
 /// [`GaussTree::open_with`] and [`GaussTree::recover_with`] — the one
-/// place the crash-safety policy and cache sizing are decided.
+/// place the commit barrier, cache sizing and leaf format are decided.
 ///
 /// ```
 /// use gauss_tree::TreeOptions;
@@ -273,15 +240,18 @@ pub struct TreeOptions {
 }
 
 impl TreeOptions {
-    /// Default options: [`Durability::None`], decoded-node cache sized to
-    /// the buffer pool's frame capacity.
+    /// Default options: [`Durability::None`] (commits issue no barrier),
+    /// decoded-node cache sized to the buffer pool's frame capacity, leaf
+    /// format taken from the [`TreeConfig`]. Mutation shadow-pages under
+    /// every option.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Crash-safety policy for every mutation on the opened tree (see
-    /// [`GaussTree::flush`] for the commit protocol it drives).
+    /// The barrier every commit of the opened tree issues (see
+    /// [`GaussTree::flush`] for the protocol). It does not change how
+    /// mutation writes pages.
     #[must_use]
     pub fn durability(mut self, durability: Durability) -> Self {
         self.durability = durability;
@@ -320,11 +290,11 @@ impl TreeOptions {
 /// * every query method (provided by [`ReadView`]) runs lock-free against
 ///   the frozen committed root — no `&mut` borrow of the writer, no writer
 ///   mutex — while the writer keeps shadow-building the next epoch;
+/// * the writer shadow-pages every mutation, so the bytes of a committed
+///   epoch are never overwritten;
 /// * pages the writer frees stay un-reused until every snapshot pinning an
 ///   epoch that references them is dropped (see the free-aging rule in
-///   [`GaussTree::flush`]);
-/// * while any snapshot is live the writer shadow-pages even under
-///   [`Durability::None`], so committed bytes are never overwritten.
+///   [`GaussTree::flush`]).
 ///
 /// Cloning re-pins the epoch; dropping unpins it. Snapshots are `Send` and
 /// `Sync` — hand them to other threads freely.
@@ -448,7 +418,7 @@ impl<S: PageStore> ReadView<S> for Snapshot<S> {
     }
 }
 
-/// One parsed v2 meta slot, pending validation against the store.
+/// One parsed meta slot, pending validation against the store.
 struct ParsedMeta {
     epoch: u64,
     allocated: u64,
@@ -506,8 +476,9 @@ pub(crate) fn quantise_for(format: LeafFormat, v: &Pfv) -> Result<Option<Pfv>, T
 
 impl<S: PageStore> GaussTree<S> {
     /// Creates an empty Gauss-tree in a fresh store with default
-    /// [`TreeOptions`] — [`Durability::None`] (fast in-place writes, no
-    /// crash guarantees).
+    /// [`TreeOptions`] — [`Durability::None`], so commits issue no
+    /// barrier. Mutation shadow-pages all the same; the barrier only
+    /// decides which crashes a commit survives (see [`Durability`]).
     ///
     /// # Errors
     /// Propagates store errors; fails if the page size cannot hold two
@@ -552,7 +523,6 @@ impl<S: PageStore> GaussTree<S> {
             config,
             leaf_cap,
             inner_cap,
-            format: MetaFormat::V2,
             durability: opts.durability,
             epoch: 0,
             root,
@@ -566,7 +536,6 @@ impl<S: PageStore> GaussTree<S> {
             committed_root: root,
             committed_height: 0,
             committed_len: 0,
-            dirty_since_commit: false,
             free_aging: VecDeque::new(),
         };
         tree.write_node(root, &Node::Leaf(Vec::new()))?;
@@ -574,13 +543,13 @@ impl<S: PageStore> GaussTree<S> {
         Ok(tree)
     }
 
-    /// The tree's crash-safety policy.
+    /// The barrier the tree's commits issue.
     #[must_use]
     pub fn durability(&self) -> Durability {
         self.durability
     }
 
-    /// Last committed epoch (0 for legacy-format trees).
+    /// Last committed epoch.
     #[must_use]
     pub fn epoch(&self) -> u64 {
         self.epoch
@@ -590,26 +559,15 @@ impl<S: PageStore> GaussTree<S> {
     ///
     /// The snapshot owns shared handles (buffer pool, decoded-node cache,
     /// epoch registry), so it has no lifetime tie to this writer: send it
-    /// to another thread and keep mutating here. While it lives, this
-    /// writer shadow-pages every mutation (even under [`Durability::None`])
-    /// and defers page reuse, so the pinned state is never overwritten.
+    /// to another thread and keep mutating here. Mutation never
+    /// overwrites a committed page and page reuse waits for the pin to
+    /// drop, so the pinned state stays intact. Uncommitted mutations are
+    /// not visible to it; call [`GaussTree::flush`] first to include them.
     ///
     /// # Errors
-    /// [`TreeError::SnapshotUnavailable`] if the file uses the legacy v1
-    /// format (no committed epochs) or if in-place writes since the last
-    /// [`GaussTree::flush`] have diverged the store from the committed
-    /// epoch — flush first, then snapshot.
+    /// None today: every tree has a committed epoch to pin. The `Result`
+    /// keeps the signature shared with [`crate::GaussForest::snapshot`].
     pub fn snapshot(&self) -> Result<Snapshot<S>, TreeError> {
-        if self.format == MetaFormat::V1 {
-            return Err(TreeError::SnapshotUnavailable(
-                "legacy v1 files have no committed epochs",
-            ));
-        }
-        if self.dirty_since_commit {
-            return Err(TreeError::SnapshotUnavailable(
-                "in-place writes since the last commit",
-            ));
-        }
         self.registry.pin(self.epoch);
         Ok(Snapshot {
             pool: Arc::clone(&self.pool),
@@ -631,31 +589,23 @@ impl<S: PageStore> GaussTree<S> {
         self.registry.pinned_count()
     }
 
-    /// Whether mutation must shadow-write instead of updating in place:
-    /// always under a durable policy, and whenever a live [`Snapshot`]
-    /// pins a committed epoch that in-place writes would tear up.
-    pub(crate) fn is_shadowing(&self) -> bool {
-        self.format == MetaFormat::V2
-            && (self.durability != Durability::None || self.registry.has_pins())
-    }
-
     /// Opens an existing Gauss-tree from its store.
     ///
-    /// v2 files (dual-slot commit): both meta slots are parsed and
-    /// validated — magic, version, checksum, and every referenced page id
-    /// bounds-checked against the store — and the highest valid epoch
-    /// wins, so a torn meta write falls back to the previous commit.
-    /// Pages allocated after that commit (an interrupted mutation's
-    /// shadow writes) are reclaimed onto the free list. v1 files (single
-    /// meta page) keep opening as before.
+    /// Both meta slots are parsed and validated — magic, version (only
+    /// the current dual-slot format opens), checksum, capacities that fit
+    /// the page, and every referenced page id bounds-checked against the
+    /// store — and the highest valid epoch wins, so a torn meta write
+    /// falls back to the previous commit. Pages allocated after that
+    /// commit (an interrupted mutation's shadow writes) are reclaimed onto
+    /// the free list.
     ///
-    /// The opened tree uses default [`TreeOptions`] ([`Durability::None`]);
-    /// use [`GaussTree::open_with`] when crash safety or cache sizing is
-    /// required.
+    /// The opened tree uses default [`TreeOptions`] ([`Durability::None`]:
+    /// commits issue no barrier); use [`GaussTree::open_with`] to choose
+    /// the barrier or the cache size.
     ///
     /// # Errors
-    /// [`TreeError::NotAGaussTree`] if no valid metadata is found; store
-    /// errors otherwise.
+    /// [`TreeError::NotAGaussTree`] if no valid metadata is found — this
+    /// includes files of an older meta format; store errors otherwise.
     pub fn open(pool: impl Into<SharedBufferPool<S>>) -> Result<Self, TreeError> {
         Self::open_with(pool, &TreeOptions::default())
     }
@@ -709,28 +659,7 @@ impl<S: PageStore> GaussTree<S> {
         if allocated_now == 0 {
             return Err(TreeError::NotAGaussTree);
         }
-        // Legacy single-slot format?
-        {
-            let page = pool.page(PageId(0))?;
-            let mut r = Reader::new(&page);
-            let magic = r.get_u32().unwrap_or(0);
-            let version = r.get_u32().unwrap_or(0);
-            if magic == META_MAGIC && version == META_VERSION_V1 {
-                let tree = Self::open_v1(pool, opts)?;
-                if verify {
-                    match tree.check_invariants(false) {
-                        Ok(errs) if errs.is_empty() => {}
-                        _ => return Err(TreeError::NotAGaussTree),
-                    }
-                }
-                let report = RecoveryReport {
-                    legacy: true,
-                    ..RecoveryReport::default()
-                };
-                return Ok((tree, report));
-            }
-        }
-        // v2: parse both slots, try them in descending epoch order. A
+        // Parse both slots, try them in descending epoch order. A
         // slot that holds data but does not validate (torn write, stale
         // garbage) counts as a fallback even though its epoch is
         // unknowable — an all-zero slot is just a commit that never
@@ -759,7 +688,6 @@ impl<S: PageStore> GaussTree<S> {
                 epoch: meta.epoch,
                 fell_back,
                 orphaned_pages: allocated_now - meta.allocated,
-                legacy: false,
             };
             let mut tree = Self::from_meta(pool, meta, opts);
             if !verify {
@@ -788,8 +716,10 @@ impl<S: PageStore> GaussTree<S> {
         Err(TreeError::NotAGaussTree)
     }
 
-    /// Parses and validates one v2/v3 meta slot; `None` if the slot is not
-    /// a committed epoch (torn, stale, out of bounds, or plain garbage).
+    /// Parses and validates one meta slot; `None` if the slot is not a
+    /// committed epoch (torn, stale, out of bounds, an older format, or
+    /// plain garbage). Never panics and never allocates more than the
+    /// page can describe, whatever the bytes.
     fn parse_slot(
         pool: &SharedBufferPool<S>,
         slot: PageId,
@@ -799,7 +729,7 @@ impl<S: PageStore> GaussTree<S> {
         let mut r = Reader::new(&page);
         let magic = r.get_u32().ok()?;
         let version = r.get_u32().ok()?;
-        if magic != META_MAGIC || !(version == META_VERSION || version == META_VERSION_V2) {
+        if magic != META_MAGIC || version != META_VERSION {
             return None;
         }
         let stored_sum = r.get_u64().ok()?;
@@ -817,13 +747,7 @@ impl<S: PageStore> GaussTree<S> {
             _ => return None,
         };
         let split = crate::config::SplitStrategy::from_tag(r.get_u8().ok()?)?;
-        // v3 appends the leaf-format byte here; v2 slots predate the
-        // quantised format and are always exact.
-        let leaf_format = if version == META_VERSION_V2 {
-            crate::config::LeafFormat::Exact
-        } else {
-            crate::config::LeafFormat::from_tag(r.get_u8().ok()?)?
-        };
+        let leaf_format = LeafFormat::from_tag(r.get_u8().ok()?)?;
         let leaf_cap = r.get_u32().ok()? as usize;
         let inner_cap = r.get_u32().ok()? as usize;
         let root = PageId(r.get_u64().ok()?);
@@ -844,7 +768,27 @@ impl<S: PageStore> GaussTree<S> {
         {
             return None;
         }
+        let mut config = TreeConfig::new(dims)
+            .with_combine(combine)
+            .with_split(split)
+            .with_leaf_format(leaf_format);
+        // The stored capacities must fit this page: `from_meta` re-derives
+        // them through `TreeConfig::leaf_capacity`/`inner_capacity`, which
+        // assert that a page holds at least two entries.
+        let body = page.len().saturating_sub(crate::node::NODE_HEADER_BYTES);
+        if leaf_cap > body / config.leaf_entry_bytes()
+            || inner_cap > body / config.inner_entry_bytes()
+        {
+            return None;
+        }
+        config.max_leaf_entries = Some(leaf_cap);
+        config.max_inner_entries = Some(inner_cap);
+        // The in-slot ids must fit the slot before anything is reserved
+        // for them.
         let free_count = r.get_u32().ok()? as usize;
+        if free_count > page.len().saturating_sub(META_BASE_BYTES) / 8 {
+            return None;
+        }
         let mut free_next = PageId(r.get_u64().ok()?);
         let mut free_ids = Vec::with_capacity(free_count);
         for _ in 0..free_count {
@@ -887,12 +831,6 @@ impl<S: PageStore> GaussTree<S> {
         if !carriers.iter().all(|c| seen.contains(&c.index())) {
             return None;
         }
-        let mut config = TreeConfig::new(dims)
-            .with_combine(combine)
-            .with_split(split)
-            .with_leaf_format(leaf_format);
-        config.max_leaf_entries = Some(leaf_cap);
-        config.max_inner_entries = Some(inner_cap);
         Some(ParsedMeta {
             epoch,
             allocated,
@@ -932,7 +870,6 @@ impl<S: PageStore> GaussTree<S> {
             config: meta.config,
             leaf_cap,
             inner_cap,
-            format: MetaFormat::V2,
             durability: opts.durability,
             epoch: meta.epoch,
             root: meta.root,
@@ -946,114 +883,8 @@ impl<S: PageStore> GaussTree<S> {
             committed_root: meta.root,
             committed_height: meta.height,
             committed_len: meta.len,
-            dirty_since_commit: false,
             free_aging: VecDeque::new(),
         }
-    }
-
-    /// Opens a legacy v1 (single meta slot) file.
-    fn open_v1(pool: SharedBufferPool<S>, opts: &TreeOptions) -> Result<Self, TreeError> {
-        let allocated = pool.num_pages();
-        let page = pool.page(PageId(0))?;
-        let mut r = Reader::new(&page);
-        type MetaFields = (TreeConfig, PageId, u32, u64, Vec<PageId>, PageId);
-        let parse = (|| -> Result<MetaFields, NodeCodecError> {
-            let magic = r.get_u32()?;
-            let version = r.get_u32()?;
-            if magic != META_MAGIC || version != META_VERSION_V1 {
-                return Err(NodeCodecError::Corrupt("bad magic/version"));
-            }
-            let dims = r.get_u32()? as usize;
-            let combine = match r.get_u8()? {
-                0 => CombineMode::Convolution,
-                1 => CombineMode::AdditiveSigma,
-                _ => return Err(NodeCodecError::Corrupt("bad combine mode")),
-            };
-            let split = crate::config::SplitStrategy::from_tag(r.get_u8()?)
-                .ok_or(NodeCodecError::Corrupt("bad split strategy"))?;
-            let leaf_cap = r.get_u32()? as usize;
-            let inner_cap = r.get_u32()? as usize;
-            let root = PageId(r.get_u64()?);
-            let height = r.get_u32()?;
-            let len = r.get_u64()?;
-            if dims == 0 || leaf_cap < 2 || inner_cap < 2 || root.index() >= allocated {
-                return Err(NodeCodecError::Corrupt("bad metadata values"));
-            }
-            let free_count = r.get_u32()? as usize;
-            let free_next = PageId(r.get_u64()?);
-            let mut free_list = Vec::with_capacity(free_count);
-            for _ in 0..free_count {
-                free_list.push(PageId(r.get_u64()?));
-            }
-            let mut config = TreeConfig::new(dims)
-                .with_combine(combine)
-                .with_split(split);
-            config.max_leaf_entries = Some(leaf_cap);
-            config.max_inner_entries = Some(inner_cap);
-            Ok((config, root, height, len, free_list, free_next))
-        })();
-        let (config, root, height, len, mut free_list, mut free_next) =
-            parse.map_err(|_| TreeError::NotAGaussTree)?;
-        // Follow the overflow chain through the freed carrier pages
-        // (`chain_len` bounds a garbage cycle of zero-count carriers).
-        let mut chain_len = 0u64;
-        while free_next.is_valid() {
-            chain_len += 1;
-            if free_next.index() >= allocated
-                || free_list.len() as u64 > allocated
-                || chain_len > allocated
-            {
-                return Err(TreeError::NotAGaussTree);
-            }
-            let page = pool.page(free_next)?;
-            let mut r = Reader::new(&page);
-            let chain = (|| -> Result<(PageId, Vec<PageId>), NodeCodecError> {
-                let next = PageId(r.get_u64()?);
-                let count = r.get_u32()? as usize;
-                let mut ids = Vec::with_capacity(count);
-                for _ in 0..count {
-                    ids.push(PageId(r.get_u64()?));
-                }
-                Ok((next, ids))
-            })();
-            let (next, ids) = chain.map_err(|_| TreeError::NotAGaussTree)?;
-            free_list.extend(ids);
-            free_next = next;
-        }
-        if free_list
-            .iter()
-            .any(|p| p.index() == 0 || p.index() >= allocated)
-        {
-            return Err(TreeError::NotAGaussTree);
-        }
-        let leaf_cap = config.leaf_capacity(pool.page_size());
-        let inner_cap = config.inner_capacity(pool.page_size());
-        let node_cache = SideCache::new(opts.cache_cap(pool.capacity()));
-        let free_set = free_list.iter().map(|p| p.index()).collect();
-        Ok(Self {
-            pool: Arc::new(pool),
-            node_cache: Arc::new(node_cache),
-            registry: Arc::new(EpochRegistry::new()),
-            config,
-            leaf_cap,
-            inner_cap,
-            format: MetaFormat::V1,
-            durability: opts.durability,
-            epoch: 0,
-            root,
-            height,
-            len,
-            free_committed: free_list,
-            free_pending: Vec::new(),
-            carriers_live: Vec::new(),
-            free_set,
-            shadowed: HashSet::new(),
-            committed_root: root,
-            committed_height: height,
-            committed_len: len,
-            dirty_since_commit: false,
-            free_aging: VecDeque::new(),
-        })
     }
 
     /// Gives the pool back (recovery's slot-fallback path; no snapshot can
@@ -1207,34 +1038,25 @@ impl<S: PageStore> GaussTree<S> {
         self.pool.stats()
     }
 
-    /// Commits the tree's metadata. Call after building; queries never
-    /// dirty the tree.
+    /// Commits the working state as a new epoch. Call after building;
+    /// queries never dirty the tree.
     ///
-    /// v2 format: an atomic dual-slot commit. The full free list is
-    /// persisted first (overflow chained through committed-free carrier
-    /// pages the previous epoch does not reference), then a data barrier
-    /// is issued at the tree's [`Durability`] level, then the inactive
-    /// meta slot is written with a bumped epoch and a checksum, then a
-    /// second barrier makes the commit durable. Open picks the highest
-    /// valid epoch, so a crash anywhere in this sequence — or in the
-    /// shadow-paged mutations before it — falls back to the previous
-    /// commit intact.
-    ///
-    /// Legacy v1 files keep their single in-place meta page (their commit
-    /// is not atomic; rebuild to upgrade).
+    /// An atomic dual-slot commit. The full free list is persisted first
+    /// (overflow chained through committed-free carrier pages the previous
+    /// epoch does not reference), then a data barrier is issued at the
+    /// tree's [`Durability`] level, then the inactive meta slot is written
+    /// with a bumped epoch and a checksum, then a second barrier makes the
+    /// commit durable. Open picks the highest valid epoch, so a crash
+    /// anywhere in this sequence — or in the shadow-paged mutations before
+    /// it — falls back to the previous commit intact, provided the
+    /// barriers ordered the writes (under [`Durability::None`] they are
+    /// no-ops and the store's own write order decides).
     ///
     /// # Errors
     /// Propagates store errors. After an error the in-memory tree may be
     /// mid-commit and should be dropped; the on-disk state remains
     /// recoverable.
     pub fn flush(&mut self) -> Result<(), TreeError> {
-        match self.format {
-            MetaFormat::V1 => self.flush_v1(),
-            MetaFormat::V2 => self.flush_v2(),
-        }
-    }
-
-    fn flush_v2(&mut self) -> Result<(), TreeError> {
         let page_size = self.pool.page_size();
         let meta_cap = page_size.saturating_sub(META_BASE_BYTES) / 8;
         let per_carrier = ((page_size - FREE_CHAIN_HEADER_BYTES) / 8).max(1);
@@ -1363,7 +1185,6 @@ impl<S: PageStore> GaussTree<S> {
         self.free_committed.append(&mut self.carriers_live);
         self.carriers_live = new_carriers;
         self.shadowed.clear();
-        self.dirty_since_commit = false;
         self.committed_root = self.root;
         self.committed_height = self.height;
         self.committed_len = self.len;
@@ -1392,65 +1213,9 @@ impl<S: PageStore> GaussTree<S> {
         }
     }
 
-    fn flush_v1(&mut self) -> Result<(), TreeError> {
-        // Legacy trees never shadow-page, so all frees sit in
-        // `free_committed` and the v1 carrier scheme (carriers drawn from
-        // the overflow ids themselves) still applies.
-        debug_assert!(self.free_pending.is_empty() && self.carriers_live.is_empty());
-        let mut page = vec![0u8; self.pool.page_size()];
-        let mut w = Writer::new(&mut page);
-        w.put_u32(META_MAGIC);
-        w.put_u32(META_VERSION_V1);
-        // lint: allow(no-panic) -- dims are validated at TreeConfig construction, far below u32::MAX
-        w.put_u32(u32::try_from(self.config.dims).expect("dims fit u32"));
-        w.put_u8(match self.config.combine {
-            CombineMode::Convolution => 0,
-            CombineMode::AdditiveSigma => 1,
-        });
-        w.put_u8(self.config.split.to_tag());
-        // lint: allow(no-panic) -- leaf capacity derives from the page size, far below u32::MAX
-        w.put_u32(u32::try_from(self.leaf_cap).expect("leaf cap fits u32"));
-        // lint: allow(no-panic) -- node capacities derive from the page size, far below u32::MAX
-        w.put_u32(u32::try_from(self.inner_cap).expect("inner cap fits u32"));
-        w.put_u64(self.root.index());
-        w.put_u32(self.height);
-        w.put_u64(self.len);
-        let page_size = self.pool.page_size();
-        let meta_cap = page_size.saturating_sub(META_BASE_BYTES_V1) / 8;
-        let in_meta = self.free_committed.len().min(meta_cap);
-        let rest = &self.free_committed[in_meta..];
-        let per_carrier = ((page_size - FREE_CHAIN_HEADER_BYTES) / 8).max(1);
-        let chunks: Vec<&[PageId]> = rest.chunks(per_carrier).collect();
-        let first_carrier = chunks.first().map_or(PageId::INVALID, |c| c[0]);
-        // lint: allow(no-panic) -- in_meta is capped by the meta page capacity, far below u32::MAX
-        w.put_u32(u32::try_from(in_meta).expect("free count fits u32"));
-        w.put_u64(first_carrier.index());
-        for id in &self.free_committed[..in_meta] {
-            w.put_u64(id.index());
-        }
-        self.pool.sync(self.durability)?;
-        self.pool.write(PageId(0), &page)?;
-        for (i, chunk) in chunks.iter().enumerate() {
-            let carrier = chunk[0];
-            let next = chunks.get(i + 1).map_or(PageId::INVALID, |c| c[0]);
-            let mut buf = vec![0u8; page_size];
-            let mut cw = Writer::new(&mut buf);
-            cw.put_u64(next.index());
-            // lint: allow(no-panic) -- free-list chunks are capped by per_carrier, far below u32::MAX
-            cw.put_u32(u32::try_from(chunk.len()).expect("chunk fits u32"));
-            for id in *chunk {
-                cw.put_u64(id.index());
-            }
-            self.node_cache.remove(carrier);
-            self.pool.write(carrier, &buf)?;
-        }
-        self.pool.sync(self.durability)?;
-        Ok(())
-    }
-
     /// Allocates a page for a new node, reusing a committed-free page when
     /// one is available. The page is marked shadowed: it is not part of
-    /// the committed tree, so shadow paging may write it in place.
+    /// the committed tree, so mutation may write it in place.
     pub(crate) fn alloc_page(&mut self) -> Result<PageId, TreeError> {
         if self.free_committed.is_empty() && !self.free_aging.is_empty() {
             // A snapshot drop may have un-gated aged frees since the last
@@ -1470,8 +1235,8 @@ impl<S: PageStore> GaussTree<S> {
 
     /// Returns a no-longer-referenced node page to the free list:
     /// immediately reusable when the committed tree does not reference it
-    /// (page shadowed this epoch, or the tree is not shadow-paging),
-    /// deferred until the next commit otherwise.
+    /// (page shadowed this epoch), deferred until the next commit
+    /// otherwise.
     ///
     /// # Errors
     /// [`TreeError::DoubleFree`] if the page is already free.
@@ -1479,17 +1244,10 @@ impl<S: PageStore> GaussTree<S> {
         if !self.free_set.insert(page.index()) {
             return Err(TreeError::DoubleFree { page: page.index() });
         }
-        let was_shadowed = self.shadowed.remove(&page.index());
-        if was_shadowed {
+        if self.shadowed.remove(&page.index()) {
             self.free_committed.push(page);
-        } else if self.is_shadowing() {
-            self.free_pending.push(page);
         } else {
-            // In-place mode: a committed page becomes reusable right away,
-            // which diverges the store from the committed epoch — block
-            // snapshots until the next flush re-commits.
-            self.dirty_since_commit = true;
-            self.free_committed.push(page);
+            self.free_pending.push(page);
         }
         Ok(())
     }
@@ -1514,14 +1272,6 @@ impl<S: PageStore> GaussTree<S> {
             out.extend(pages);
         }
         out
-    }
-
-    /// Number of pages owned by the tree's metadata (slot pages).
-    pub(crate) fn meta_page_count(&self) -> u64 {
-        match self.format {
-            MetaFormat::V1 => 1,
-            MetaFormat::V2 => 2,
-        }
     }
 
     /// Bulk-loader leaf fill target (`BULK_FILL` of the capacity).
@@ -1953,13 +1703,6 @@ impl<S: PageStore> GaussTree<S> {
     }
 
     fn write_node(&mut self, page: PageId, node: &Node) -> Result<(), TreeError> {
-        // An in-place write to a page the committed epoch references
-        // diverges the store from that epoch: snapshots are blocked until
-        // the next flush re-commits. Shadow pages are invisible to the
-        // committed tree, so writing them keeps the epoch intact.
-        if !self.shadowed.contains(&page.index()) {
-            self.dirty_since_commit = true;
-        }
         let mut buf = vec![0u8; self.pool.page_size()];
         node.write_to(self.config.dims, self.config.leaf_format, &mut buf);
         // Invalidate the decoded form before the bytes change so no reader
@@ -1970,17 +1713,16 @@ impl<S: PageStore> GaussTree<S> {
         Ok(())
     }
 
-    /// Writes `node` where the durability policy allows: in place when the
-    /// committed tree does not reference `page` (or the tree is not
-    /// shadow-paging), otherwise to a freshly allocated shadow page,
-    /// deferring `page` to the post-commit free list. Returns where the
-    /// node landed; callers must re-point the parent at it.
+    /// Writes `node` in place when the committed tree does not reference
+    /// `page`, otherwise to a freshly allocated shadow page, deferring
+    /// `page` to the post-commit free list. Returns where the node landed;
+    /// callers must re-point the parent at it.
     pub(crate) fn write_node_shadow(
         &mut self,
         page: PageId,
         node: &Node,
     ) -> Result<PageId, TreeError> {
-        if !self.is_shadowing() || self.shadowed.contains(&page.index()) {
+        if self.shadowed.contains(&page.index()) {
             self.write_node(page, node)?;
             Ok(page)
         } else {
@@ -2297,7 +2039,7 @@ mod tests {
         let (t2, report) = GaussTree::open_with_recovery(pool).unwrap();
         assert_eq!(t2.epoch(), 3);
         assert_eq!(report.epoch, 3);
-        assert!(!report.fell_back && !report.legacy);
+        assert!(!report.fell_back);
         assert_eq!(report.orphaned_pages, 0);
         assert_eq!(t2.len(), 10);
     }
@@ -2414,69 +2156,6 @@ mod tests {
         }
         assert_eq!(t.len(), 60);
         assert!(t.check_invariants(false).unwrap().is_empty());
-    }
-
-    #[test]
-    fn legacy_v1_file_opens_flushes_and_stays_v1() {
-        // Hand-build a v1-format file: single meta page at 0, root leaf at
-        // page 1 — the layout every pre-dual-slot release wrote.
-        let dims = 1usize;
-        let config = TreeConfig::new(dims).with_capacities(4, 4);
-        let entries = vec![
-            LeafEntry {
-                id: 7,
-                pfv: pfv1(1.0, 0.2),
-            },
-            LeafEntry {
-                id: 9,
-                pfv: pfv1(-2.0, 0.4),
-            },
-        ];
-        let mut store = MemStore::new(1024);
-        {
-            use gauss_storage::store::PageStore as _;
-            let meta = store.allocate().unwrap();
-            let root = store.allocate().unwrap();
-            let mut page = vec![0u8; 1024];
-            let mut w = Writer::new(&mut page);
-            w.put_u32(META_MAGIC);
-            w.put_u32(META_VERSION_V1);
-            w.put_u32(dims as u32);
-            w.put_u8(0); // Convolution
-            w.put_u8(config.split.to_tag());
-            w.put_u32(4);
-            w.put_u32(4);
-            w.put_u64(root.index());
-            w.put_u32(0); // height
-            w.put_u64(entries.len() as u64);
-            w.put_u32(0); // free count
-            w.put_u64(PageId::INVALID.index());
-            store.write_page(meta, &page).unwrap();
-            let mut node_page = vec![0u8; 1024];
-            Node::Leaf(entries.clone()).write_to(dims, LeafFormat::Exact, &mut node_page);
-            store.write_page(root, &node_page).unwrap();
-        }
-        let pool = BufferPool::new(store, 64, AccessStats::new_shared());
-        let (mut t, report) = GaussTree::open_with_recovery(pool).unwrap();
-        assert!(report.legacy);
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.root_page(), PageId(1));
-        assert!(t.check_invariants(false).unwrap().is_empty());
-        let mut ids = Vec::new();
-        t.for_each_entry(|id, _| ids.push(id)).unwrap();
-        ids.sort_unstable();
-        assert_eq!(ids, vec![7, 9]);
-
-        // Mutating and flushing keeps the v1 format (page 1 is a node, so
-        // the second slot can never be claimed) and the file reopens.
-        t.insert(11, &pfv1(4.0, 0.3)).unwrap();
-        t.flush().unwrap();
-        let store = t.into_store();
-        let pool = BufferPool::new(store, 64, AccessStats::new_shared());
-        let t2 = GaussTree::open(pool).unwrap();
-        assert_eq!(t2.len(), 3);
-        assert_eq!(t2.epoch(), 0, "legacy files have no epochs");
-        assert!(t2.check_invariants(false).unwrap().is_empty());
     }
 
     #[test]
@@ -2773,49 +2452,51 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn v2_meta_slots_open_as_exact_trees() {
-        // Reconstruct a v2 slot from a v3 one: drop the leaf-format byte,
-        // set the version back, and re-checksum. Opening must still work
-        // and classify the tree as LeafFormat::Exact.
-        let mut t = mem_tree(1, 4, 4);
-        for i in 0..20u64 {
-            t.insert(i, &pfv1(i as f64, 0.1)).unwrap();
-        }
-        t.flush().unwrap();
-        let epoch = t.epoch();
-        let slot = if epoch.is_multiple_of(2) {
-            META_SLOT_A
+    /// Rewrites the newest meta slot of `t` with `patch` applied and a
+    /// recomputed checksum, so parsing gets past the checksum, and wipes
+    /// the other slot so the patched one is the only candidate.
+    fn patch_only_slot(t: &GaussTree<MemStore>, patch: impl FnOnce(&mut [u8])) {
+        let (slot, other) = if t.epoch().is_multiple_of(2) {
+            (META_SLOT_A, META_SLOT_B)
         } else {
-            META_SLOT_B
+            (META_SLOT_B, META_SLOT_A)
         };
-        let other = if slot == META_SLOT_A {
-            META_SLOT_B
-        } else {
-            META_SLOT_A
-        };
-        let v3 = t.pool().page(slot).unwrap();
-        // Offset of the leaf-format byte: everything up to and including
-        // the split-strategy byte.
-        let fmt_off = 4 + 4 + 8 + 8 + 8 + 4 + 1 + 1;
-        let mut v2 = Vec::with_capacity(v3.len());
-        v2.extend_from_slice(&v3[..fmt_off]);
-        v2.extend_from_slice(&v3[fmt_off + 1..]);
-        v2.push(0);
-        v2[4..8].copy_from_slice(&META_VERSION_V2.to_le_bytes());
-        v2[META_CHECKSUM_OFFSET..META_CHECKSUM_OFFSET + 8].fill(0);
-        let sum = fnv1a64(&v2);
-        v2[META_CHECKSUM_OFFSET..META_CHECKSUM_OFFSET + 8].copy_from_slice(&sum.to_le_bytes());
-        t.pool().write(slot, &v2).unwrap();
-        // Wipe the other slot so the v2 one is the only candidate.
-        t.pool().write(other, &vec![0u8; v3.len()]).unwrap();
+        let mut bytes = t.pool().page(slot).unwrap().to_vec();
+        patch(&mut bytes);
+        bytes[META_CHECKSUM_OFFSET..META_CHECKSUM_OFFSET + 8].fill(0);
+        let sum = fnv1a64(&bytes);
+        bytes[META_CHECKSUM_OFFSET..META_CHECKSUM_OFFSET + 8].copy_from_slice(&sum.to_le_bytes());
+        t.pool().write(slot, &bytes).unwrap();
+        t.pool().write(other, &vec![0u8; bytes.len()]).unwrap();
+    }
 
-        let store = t.into_store();
-        let pool = BufferPool::new(store, 1024, AccessStats::new_shared());
-        let t2 = GaussTree::open(pool).unwrap();
-        assert_eq!(t2.config().leaf_format, LeafFormat::Exact);
-        assert_eq!(t2.epoch(), epoch);
-        assert_eq!(t2.len(), 20);
-        assert!(t2.check_invariants(false).unwrap().is_empty());
+    fn reopen(t: GaussTree<MemStore>) -> Result<GaussTree<MemStore>, TreeError> {
+        let pool = BufferPool::new(t.into_store(), 1024, AccessStats::new_shared());
+        GaussTree::open(pool)
+    }
+
+    #[test]
+    fn checksum_valid_slot_with_oversized_dims_is_rejected() {
+        // dims = 4000 makes one leaf entry 64 KB, far beyond the 8 KB
+        // page: the stored capacities cannot fit, so the slot is no
+        // candidate (instead of tripping the capacity assertion of
+        // `TreeConfig::leaf_capacity` while the tree is built).
+        let t = mem_tree(1, 4, 4);
+        patch_only_slot(&t, |bytes| {
+            bytes[32..36].copy_from_slice(&4000u32.to_le_bytes())
+        });
+        assert!(matches!(reopen(t), Err(TreeError::NotAGaussTree)));
+    }
+
+    #[test]
+    fn checksum_valid_slot_with_huge_free_count_is_rejected() {
+        // A free-id count the slot cannot hold is rejected before any
+        // buffer is reserved for the ids.
+        let t = mem_tree(1, 4, 4);
+        let count_off = META_BASE_BYTES - 12;
+        patch_only_slot(&t, |bytes| {
+            bytes[count_off..count_off + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        });
+        assert!(matches!(reopen(t), Err(TreeError::NotAGaussTree)));
     }
 }

@@ -390,11 +390,10 @@ impl TrackedCondvar {
 ///
 /// A reader pins the epoch it wants to observe with [`EpochRegistry::pin`];
 /// the writer consults [`EpochRegistry::min_pinned`] before reusing pages
-/// freed at a later epoch, and [`EpochRegistry::has_pins`] (a lock-free
-/// atomic read, safe on the mutation hot path) to decide whether in-place
-/// page updates are still permissible at all. Pin and unpin counts must
-/// balance: a leaked pin permanently parks every page freed after its
-/// epoch.
+/// freed at a later epoch. The registry only gates reuse: the writer never
+/// overwrites a committed page in the first place (it shadow-pages every
+/// mutation), pins or no pins. Pin and unpin counts must balance: a leaked
+/// pin permanently parks every page freed after its epoch.
 ///
 /// The interior map is guarded by a [`TrackedMutex`] at
 /// [`LockRank::EpochRegistry`], the innermost rank — every operation here
@@ -433,8 +432,8 @@ impl EpochRegistry {
     pub fn pin(&self, epoch: u64) {
         let mut pins = self.pins.lock();
         *pins.entry(epoch).or_insert(0) += 1;
-        // Published while the lock is held so `has_pins` can never report
-        // "no pins" after a pin that `min_pinned` would still see.
+        // Published while the lock is held so `pinned_count` can never
+        // report no pins after a pin that `min_pinned` would still see.
         self.total
             .fetch_add(1, std::sync::atomic::Ordering::Release);
     }
@@ -466,13 +465,6 @@ impl EpochRegistry {
     #[must_use]
     pub fn pinned_count(&self) -> u64 {
         self.total.load(std::sync::atomic::Ordering::Acquire)
-    }
-
-    /// Whether any epoch is currently pinned (lock-free; the mutation
-    /// hot path's shadow-paging decision).
-    #[must_use]
-    pub fn has_pins(&self) -> bool {
-        self.pinned_count() > 0
     }
 }
 
@@ -586,7 +578,7 @@ mod tests {
     #[test]
     fn epoch_registry_tracks_pins_and_minimum() {
         let reg = EpochRegistry::new();
-        assert!(!reg.has_pins());
+        assert_eq!(reg.pinned_count(), 0);
         assert_eq!(reg.min_pinned(), None);
         reg.pin(5);
         reg.pin(3);
@@ -598,7 +590,7 @@ mod tests {
         reg.unpin(3);
         assert_eq!(reg.min_pinned(), Some(5));
         reg.unpin(5);
-        assert!(!reg.has_pins());
+        assert_eq!(reg.pinned_count(), 0);
         // Unbalanced unpin is a no-op, not a panic.
         reg.unpin(99);
         assert_eq!(reg.pinned_count(), 0);

@@ -239,9 +239,10 @@ def cmd_compare(args):
     # The durability datapoint must be present: the fsync'd commit path
     # has to keep being measured (its absolute cost is hardware-bound and
     # not gated, but losing the measurement would hide regressions), and
-    # the fsync path must actually issue barriers. The committed-baseline
-    # objs_per_s gate above covers the Durability::None fast path, since
-    # the default build options are durability-free.
+    # the fsync path must actually issue barriers. Both builds take the
+    # same shadow-paged write path, so the none/fsync pair compares barrier
+    # cost only; the committed-baseline objs_per_s gate above covers the
+    # default (barrier-free) build.
     dur_none = require(pr, "build_bench.durability_none_objs_per_s", args.pr)
     dur_fsync = require(pr, "build_bench.durability_fsync_objs_per_s", args.pr)
     fsync_calls = require(pr, "build_bench.fsync_calls", args.pr)

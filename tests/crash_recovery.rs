@@ -12,10 +12,11 @@
 //!    commit's meta write) the one after it — never a torn in-between.
 //!
 //! Both kill flavours are exercised (the killing write dropped whole, or
-//! torn half-old/half-new), across page sizes and both durable write
-//! modes. The shadow-paging + dual-slot-commit protocol is what makes
-//! this hold; `Durability::None` intentionally provides no such guarantee
-//! and is not tested here.
+//! torn half-old/half-new), across page sizes and both barrier levels
+//! (`Flush`, `Fsync`). The shadow-paging + dual-slot-commit protocol is
+//! what makes this hold; `Durability::None` issues no barriers, so it
+//! promises nothing beyond the store's own write order and is not tested
+//! here.
 
 use gausstree::pfv::Pfv;
 use gausstree::storage::{

@@ -8,7 +8,7 @@
 
 use gausstree::pfv::Pfv;
 use gausstree::storage::{AccessStats, BufferPool, Durability, MemStore};
-use gausstree::tree::{GaussTree, ReadView, Snapshot, TreeConfig, TreeError, TreeOptions};
+use gausstree::tree::{GaussTree, ReadView, Snapshot, TreeConfig, TreeOptions};
 
 fn mem_pool(cap: usize) -> BufferPool<MemStore> {
     BufferPool::new(MemStore::new(1024), cap, AccessStats::new_shared())
@@ -196,26 +196,38 @@ fn page_reclaim_waits_for_the_last_pin() {
 }
 
 #[test]
-fn dirty_working_state_refuses_to_snapshot_until_committed() {
+fn uncommitted_working_state_snapshots_the_last_commit() {
     let mut tree = build(50, Durability::None);
-    // Clean at the commit: snapshot allowed.
+    let q = Pfv::new(vec![1.5, -2.0], vec![0.3, 0.3]).unwrap();
+    let want_state = logical_state(&tree);
+    let want_queries = query_fingerprint(&tree, &q);
+    let epoch0 = tree.epoch();
+
+    // Uncommitted inserts and deletes with no snapshot pinned: mutation
+    // shadow-pages regardless of the barrier, so the last commit is intact
+    // and pinning it needs no flush first.
+    for i in 0..30u64 {
+        tree.insert(500 + i, &pfv2(i, 1)).unwrap();
+    }
+    for i in 0..20u64 {
+        tree.delete(i, &pfv2(i, 3)).unwrap();
+    }
+    assert_eq!(tree.len(), 60);
     let s0 = tree.snapshot().unwrap();
-    let epoch0 = s0.epoch();
-    drop(s0);
+    assert_eq!(s0.epoch(), epoch0);
+    assert_eq!(s0.len(), 50);
+    assert_eq!(logical_state(&s0), want_state);
+    assert_eq!(query_fingerprint(&s0, &q), want_queries);
+    assert!(s0.check_invariants(true).unwrap().is_empty());
 
-    // An in-place write under Durability::None with no pins diverges the
-    // store from the committed epoch — snapshotting that would tear.
-    tree.insert(500, &pfv2(500, 1)).unwrap();
-    assert!(matches!(
-        tree.snapshot(),
-        Err(TreeError::SnapshotUnavailable(_))
-    ));
-
-    // Committing makes it clean again, one epoch later.
+    // After a commit a new snapshot sees the new state; the old one still
+    // sees its own.
     tree.flush().unwrap();
     let s1 = tree.snapshot().unwrap();
     assert!(s1.epoch() > epoch0);
-    assert_eq!(s1.len(), 51);
+    assert_eq!(s1.len(), 60);
+    assert_eq!(logical_state(&s1), logical_state(&tree));
+    assert_eq!(logical_state(&s0), want_state);
 }
 
 #[test]
